@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--cap",
             type=int,
             default=DEFAULT_WORD_CAP,
-            help="hard ceiling on enumerated words (default %(default)s)",
+            help="most closed words allowed at any one word length "
+            "(default %(default)s)",
         )
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument(
@@ -167,7 +168,7 @@ def _matrix_doc(m) -> dict:
 def cmd_analyze(args, g: CircleGraph, digest: str):
     report = analyze(g, k_max=args.kmax, tol=args.tol, cap=args.cap)
     if args.format == "csv":
-        return _loop_csv(loop_table(g, args.kmax, cap=args.cap))
+        return _loop_csv(report.table)
     body = report.to_json_dict()
     if args.format == "text":
         lines = [f"{k}: {json.dumps(_round(v))}" for k, v in body.items()]

@@ -159,6 +159,7 @@ class ConjectureVerdict:
     strongly_connected: bool
     component_count: int
     notes: tuple[str, ...]
+    loop_estimate: LoopEntropyEstimate = field(repr=False)
 
 
 def conjecture_check(g: CircleGraph, k_max: int = DEFAULT_KMAX,
@@ -259,6 +260,7 @@ def conjecture_check(g: CircleGraph, k_max: int = DEFAULT_KMAX,
         strongly_connected=strongly_connected,
         component_count=len(comp),
         notes=tuple(notes),
+        loop_estimate=est,
     )
 
 
@@ -277,6 +279,7 @@ class EntropyReport:
     rho_Lambda: float
     conjecture_verdict: ConjectureVerdict
     notes: tuple[str, ...]
+    table: LoopCountTable = field(repr=False)
 
     def to_json_dict(self) -> dict:
         v = self.conjecture_verdict
@@ -321,13 +324,16 @@ def _num(x: float | None) -> float | None:
 def analyze(g: CircleGraph, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL,
             cap: int = DEFAULT_WORD_CAP,
             max_iter: int = DEFAULT_MAX_ITER) -> EntropyReport:
-    """Full growth-rate report for one validated graph."""
+    """Full growth-rate report for one validated graph.
+
+    Builds one loop table, after every radius the verdict needs, and
+    keeps it on the report (not serialized) for tabular output.
+    """
     g.require_valid()
-    rho_p = spectral_radius(covering_matrix(g), tol=tol, max_iter=max_iter).radius
-    rho_qa = spectral_radius(winding_matrix_abs(g), tol=tol, max_iter=max_iter).radius
     rho_sym = spectral_radius(symbol_matrix(g), tol=tol, max_iter=max_iter).radius
     verdict = conjecture_check(g, k_max=k_max, tol=tol, cap=cap, max_iter=max_iter)
-    est = loop_entropy_estimate(g, k_max, cap=cap)
+    est = verdict.loop_estimate
+    rho_qa = verdict.rho_q_abs
     notes = [
         "ht_phi assumes the ambient algebra is simple; simplicity is not checked",
     ]
@@ -339,9 +345,10 @@ def analyze(g: CircleGraph, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL,
         h_ell_estimate=est.estimate,
         ht_phi=math.log(rho_sym) if rho_sym > 0 else float("-inf"),
         ht_psi_lower=est.estimate,
-        rho_P=rho_p,
+        rho_P=verdict.rho_p,
         rho_Q_abs=rho_qa,
         rho_Lambda=rho_sym,
         conjecture_verdict=verdict,
         notes=tuple(notes),
+        table=est.table,
     )

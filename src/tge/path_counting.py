@@ -11,11 +11,23 @@ Its size is |prod p(e_i) - prod q(e_i)|, the absolute determinant of the
 word's cyclic exponent system; when the two products are equal the system
 is singular and the word carries a continuum of loops instead of a finite
 count, which every summary here must surface rather than absorb.
+
+Loop totals are counted by the transfer-matrix method (Stanley,
+Enumerative Combinatorics I, 4.7), not by listing words.  The products
+commute, so a word's weight depends only on its edge multiset: one length
+at a time, the words of each start vertex are grouped into states
+(current source, prod p, prod q) with a multiplicity.  A length has at
+most n^2 * C(k+E-1, E-1) states for n vertices and E edges, so tables
+grow polynomially in k where the E^k words grow exponentially.  Only
+degenerate words are listed one by one, and only at the lengths that have
+them.  The word enumerators in graph_core stay as independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator
 
 from .errors import CapExceededError, DegenerateLoopError
 from .exact_matrix import ExactMatrix, determinant
@@ -224,23 +236,127 @@ class LoopCountTable:
         )
 
 
+class ClosedWordTables:
+    """Transfer-matrix tables of the closed edge words of one graph.
+
+    Layer m maps a (start, current) vertex pair to {(prod p, prod q):
+    multiplicity} over the m-edge words e_1 ... e_m with r(e_1) = start and
+    s(e_m) = current; layer 0 holds the empty word at every vertex.  Layer
+    m+1 extends each word through the edges whose range is its current
+    source, and the closed words of length k are the layer-k states whose
+    current source is back at the start.  Layers are built on demand and
+    kept, because listing degenerate words reads the shorter ones.
+    """
+
+    def __init__(self, g: CircleGraph):
+        g.require_valid()
+        self.vertices = g.vertices
+        self.edges = g.edges
+        self.by_range: dict[str, list] = {v: [] for v in g.vertices}
+        for e in g.edges:
+            self.by_range[e.range].append(e)
+        self.layers = [{(v, v): {(1, 1): 1} for v in g.vertices}]
+        self._suffix_cache: dict = {}
+
+    def layer(self, m: int) -> dict:
+        while len(self.layers) <= m:
+            nxt: dict = {}
+            for (start, cur), states in self.layers[-1].items():
+                for f in self.by_range[cur]:
+                    fp, fq = f.p, f.q
+                    bucket = nxt.setdefault((start, f.source), {})
+                    for (pp, qq), mult in states.items():
+                        key = (pp * fp, qq * fq)
+                        bucket[key] = bucket.get(key, 0) + mult
+            self.layers.append(nxt)
+        return self.layers[m]
+
+    def totals(self, k: int) -> tuple[int, int, int, int]:
+        """Closed words of length k: (count, degenerate count,
+        sum |prod p - prod q| over the others, sum |prod p - |prod q||)."""
+        layer = self.layer(k)
+        words = degenerate = loops = formula = 0
+        for v in self.vertices:
+            for (pp, qq), mult in layer.get((v, v), {}).items():
+                words += mult
+                if pp == qq:
+                    degenerate += mult
+                else:
+                    loops += mult * abs(pp - qq)
+                formula += mult * abs(pp - abs(qq))
+        return words, degenerate, loops, formula
+
+    def _suffixes(self, m: int, cur: str, end: str) -> tuple[set, int]:
+        """Ratios prod q / prod p of the m-edge walks from source cur to
+        source end, and the number of such walks."""
+        key = (m, cur, end)
+        if key not in self._suffix_cache:
+            states = self.layer(m).get((cur, end), {})
+            self._suffix_cache[key] = (
+                {Fraction(qq, pp) for pp, qq in states},
+                sum(states.values()),
+            )
+        return self._suffix_cache[key]
+
+    def degenerate_words(self, k: int) -> Iterator[tuple[int, tuple[str, ...], int]]:
+        """Yield (rank, word, prod p) for the degenerate closed words of length k.
+
+        Words come in enumeration order: first edge in edge order, each
+        later edge among those whose range is the current source, in edge
+        order.  rank is the word's 1-based position among all closed words
+        of length k.  A prefix is extended only when some suffix brings
+        prod p / prod q back to 1, so every branch walked ends in a
+        degenerate word.
+        """
+        prefix: list[str] = []
+        rank = 0
+
+        def walk(choices, start, pp, qq, m):
+            nonlocal rank
+            for e in choices:
+                end = e.range if start is None else start
+                p2, q2 = pp * e.p, qq * e.q
+                ratios, count = self._suffixes(m - 1, e.source, end)
+                if Fraction(p2, q2) not in ratios:
+                    rank += count
+                    continue
+                prefix.append(e.name)
+                if m == 1:
+                    rank += 1
+                    yield rank, tuple(prefix), p2
+                else:
+                    yield from walk(self.by_range[e.source], end, p2, q2, m - 1)
+                prefix.pop()
+
+        return walk(self.edges, None, 1, 1, k)
+
+
+def _cap_error(cap: int, k: int) -> CapExceededError:
+    return CapExceededError(f"more than {cap} words of length {k}")
+
+
 def loop_count(g: CircleGraph, k: int, cap: int = DEFAULT_WORD_CAP) -> int:
     """Total loops over all closed words of length k.
 
     Raises DegenerateLoopError on the first word whose loop family is a
-    continuum, naming the word: a finite count would be a lie.
+    continuum, naming the word: a finite count would be a lie.  More than
+    cap closed words raise CapExceededError, unless a degenerate word
+    comes within the first cap.
     """
     if k < 1:
         raise ValueError("length must be positive")
-    total = 0
-    for word, pp, qq in iter_word_products(g, k, closed=True, cap=cap):
-        if pp == qq:
+    tables = ClosedWordTables(g)
+    words, degenerate, total, _ = tables.totals(k)
+    if degenerate:
+        rank, word, pp = next(tables.degenerate_words(k))
+        if rank <= cap:
             raise DegenerateLoopError(
                 word,
                 f"closed word {'.'.join(word)} has equal degree and winding "
                 f"products ({pp}); its loops form a continuum",
             )
-        total += abs(pp - qq)
+    if words > cap:
+        raise _cap_error(cap, k)
     return total
 
 
@@ -268,36 +384,28 @@ def loop_table(g: CircleGraph, k_max: int, cap: int = DEFAULT_WORD_CAP) -> LoopC
 
     Degenerate words are recorded rather than raised so the table can
     still report the lengths that remain meaningful; the affected lengths
-    carry loop_count None.
+    carry loop_count None.  The first length with more than cap closed
+    words raises CapExceededError.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    g.require_valid()
+    tables = ClosedWordTables(g)
     p_mat = covering_matrix(g)
     qa_mat = winding_matrix_abs(g)
     p_pow = p_mat
     qa_pow = qa_mat
     entries = []
     for k in range(1, k_max + 1):
-        total: int | None = 0
-        formula = 0
-        bad: list[tuple[str, ...]] = []
-        for word, pp, qq in iter_word_products(g, k, closed=True, cap=cap):
-            aq = 1
-            for name in word:
-                aq *= abs(g.edge_named(name).q)
-            formula += abs(pp - aq)
-            if pp == qq:
-                bad.append(word)
-                total = None
-            elif total is not None:
-                total += abs(pp - qq)
+        words, degenerate, total, formula = tables.totals(k)
+        if words > cap:
+            raise _cap_error(cap, k)
+        bad = tuple(w for _, w, _ in tables.degenerate_words(k)) if degenerate else ()
         entries.append(
             LoopCountEntry(
                 k=k,
-                loop_count=total,
+                loop_count=None if degenerate else total,
                 formula_count=formula,
-                degenerate_words=tuple(bad),
+                degenerate_words=bad,
                 trace_p=p_pow.trace(),
                 trace_q_abs=qa_pow.trace(),
             )

@@ -9,7 +9,8 @@ Claims covered here:
 - error paths print to stderr and leave stdout empty
 - reruns are byte-identical; --out writes the payload to a file
 - the loops table serializes degenerate lengths as nulls and its CSV
-  leaves those cells blank; analyze --format csv emits the same table
+  leaves those cells blank; analyze --format csv emits the same table,
+  built once
 - non-tabular commands fall back from csv to their text rendering
 - the rewrite command returns the normal form in json and text
 - the installed console script behaves like the library entry point and
@@ -18,9 +19,12 @@ Claims covered here:
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
+import tge.cli
+import tge.entropy_report
 from conftest import FIXTURES
 from tge.cli import main
 
@@ -28,6 +32,7 @@ TWO_LOOPS = str(FIXTURES / "two_loops.json")
 DEGENERATE = str(FIXTURES / "degenerate_11.json")
 MALFORMED = str(FIXTURES / "malformed.json")
 INVALID = str(FIXTURES / "invalid_missing_range.json")
+SRC = str(FIXTURES.parents[1] / "src")
 
 
 def run(capsys, argv):
@@ -86,6 +91,22 @@ def test_analyze_csv_matches_loops_csv(capsys):
         capsys, ["loops", TWO_LOOPS, "--kmax", "4", "--format", "csv"]
     )
     assert from_analyze == from_loops
+
+
+def test_analyze_csv_builds_one_loop_table(capsys, monkeypatch):
+    calls = []
+    real = tge.entropy_report.loop_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tge.entropy_report, "loop_table", counted)
+    monkeypatch.setattr(tge.cli, "loop_table", counted)
+    code, out, _ = run(capsys, ["analyze", TWO_LOOPS, "--kmax", "4", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[4].startswith("4,245,")
+    assert len(calls) == 1
 
 
 def test_loops_reports_degenerate_rows_without_failing(capsys):
@@ -194,11 +215,14 @@ def test_verify_basis_and_spectra(capsys):
 
 
 def test_console_script_and_thread_warning(tmp_path):
+    # the child sees only these variables; it finds tge through src/ even
+    # without an install, plus whatever PYTHONPATH the caller set
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tge.cli", "loops", TWO_LOOPS, "--kmax", "3"],
         capture_output=True,
         text=True,
-        env={"PATH": "", "TGE_THREADS": "4"},
+        env={"PATH": "", "TGE_THREADS": "4", "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

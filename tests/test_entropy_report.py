@@ -11,6 +11,7 @@ Claims covered here:
   radii, "inconclusive" when the radii coincide (sandwich degenerates),
   and records components, signed matrices, and explanatory notes
 - growth rates are weakly monotone under adding an edge
+- analyze builds one loop table and reuses the verdict's radii
 - the JSON rendering uses the documented field names
 """
 
@@ -19,6 +20,7 @@ import random
 
 import pytest
 
+import tge.entropy_report
 from conftest import (
     disconnected_graph,
     equal_radius_graph,
@@ -177,3 +179,21 @@ def test_report_json_field_names(two_loops):
     verdict = d["conjecture_verdict"]
     assert verdict["verdict"] == "consistent"
     assert verdict["sandwich_low"] <= verdict["estimate"] <= verdict["sandwich_high"]
+
+
+def test_analyze_builds_one_loop_table(two_loops, monkeypatch):
+    calls = []
+    real = tge.entropy_report.loop_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tge.entropy_report, "loop_table", counted)
+    report = analyze(two_loops, k_max=6)
+    assert len(calls) == 1
+    verdict = report.conjecture_verdict
+    assert report.table is verdict.loop_estimate.table
+    assert report.table.counts() == [3, 13, 57, 245, 973, 4051]
+    assert (report.rho_P, report.rho_Q_abs) == (verdict.rho_p, verdict.rho_q_abs)
+    assert "table" not in report.to_json_dict()

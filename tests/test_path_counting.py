@@ -15,22 +15,39 @@ Claims covered here:
 - loop tables record degenerate words instead of raising, flag negative
   windings and formula discrepancies, and always satisfy the trace sandwich
 - vertex-level traces equal word-product sums (exact cross-check)
+- the transfer-matrix loop table equals a table built by enumerating
+  every closed word: same counts, same degenerate words in the same
+  order, same cap error at the same length; loop_count raises exactly
+  what word-by-word enumeration raises
+- deep tables agree with the binomial closed form of two-loop graphs
 - the torus brute force rejects singular systems and enforces its cap
 """
+
+import math
+import random
 
 import pytest
 
 from conftest import (
     disconnected_graph,
     fixture_graphs,
+    random_valid_graph,
     three_cycle_graph,
     two_cycle_graph,
     two_loop_graph,
 )
 from tge.errors import CapExceededError, DegenerateLoopError
 from tge.exact_matrix import ExactMatrix, determinant, power_trace
-from tge.graph_core import CircleGraph, DiscreteWord, enumerate_words
+from tge.graph_core import (
+    DEFAULT_WORD_CAP,
+    CircleGraph,
+    DiscreteWord,
+    enumerate_words,
+    iter_word_products,
+)
 from tge.path_counting import (
+    LoopCountEntry,
+    LoopCountTable,
     count_range_paths,
     count_source_paths,
     covering_matrix,
@@ -235,6 +252,112 @@ def test_mixed_sign_discrepancy_flag():
     assert t.entry(1).formula_count == 0
     assert t.entry(2).loop_count is None
     assert t.any_discrepancy
+
+
+def enumerated_table(g, k_max, cap=DEFAULT_WORD_CAP):
+    """Loop table built word by word from the closed-word enumerator."""
+    q_of = {e.name: e.q for e in g.edges}
+    entries = []
+    for k in range(1, k_max + 1):
+        total, formula, bad = 0, 0, []
+        for word, pp, qq in iter_word_products(g, k, closed=True, cap=cap):
+            formula += abs(pp - math.prod(abs(q_of[n]) for n in word))
+            if pp == qq:
+                bad.append(word)
+            total += abs(pp - qq)
+        entries.append(LoopCountEntry(
+            k=k,
+            loop_count=None if bad else total,
+            formula_count=formula,
+            degenerate_words=tuple(bad),
+            trace_p=power_trace(covering_matrix(g), k),
+            trace_q_abs=power_trace(mat_Q_abs(g), k),
+        ))
+    return LoopCountTable(tuple(entries), any(e.q < 0 for e in g.edges))
+
+
+def enumerated_loop_count(g, k, cap=DEFAULT_WORD_CAP):
+    """loop_count by enumeration: stops at the first degenerate word."""
+    total = 0
+    for word, pp, qq in iter_word_products(g, k, closed=True, cap=cap):
+        if pp == qq:
+            raise DegenerateLoopError(word, f"{'.'.join(word)} ({pp})")
+        total += abs(pp - qq)
+    return total
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except CapExceededError as exc:
+        return ("cap", str(exc))
+    except DegenerateLoopError as exc:
+        return ("degenerate", exc.word)
+
+
+def small_random_graphs(count, seed):
+    """Random graphs; every other one has p, |q| <= 2 so that degenerate
+    words are common."""
+    rng = random.Random(seed)
+    for i in range(count):
+        limit = 2 if i % 2 else 4
+        yield random_valid_graph(rng, max_p=limit, max_q=limit)
+
+
+def test_loop_table_matches_enumeration_on_random_graphs():
+    degenerate = 0
+    for g in small_random_graphs(200, 2024):
+        expected = enumerated_table(g, 6)
+        assert loop_table(g, 6) == expected, g
+        degenerate += expected.any_degenerate
+    assert degenerate >= 40
+
+
+def test_cap_overflow_matches_enumeration():
+    raised = 0
+    for g in small_random_graphs(200, 7):
+        for cap in (5, 40):
+            got = outcome(loop_table, g, 6, cap=cap)
+            assert got == outcome(enumerated_table, g, 6, cap=cap), (g, cap)
+            raised += isinstance(got, tuple)
+            for k in (3, 5):
+                assert outcome(loop_count, g, k, cap=cap) == outcome(
+                    enumerated_loop_count, g, k, cap=cap
+                ), (g, k, cap)
+    assert raised >= 100
+
+
+def test_degenerate_family_words_in_enumeration_order():
+    # loops (2m, +-m), (m, +-2m) and (p, q) with p/|q| not a power of 2:
+    # a word is degenerate exactly when it uses the first two loops equally
+    # often and never the third, so even lengths k have C(k, k/2) of them
+    for m, s, third in ((1, 1, (3, 1)), (2, -1, (5, -7)), (3, 1, (1, -6))):
+        loops = [(2 * m, s * m), (m, 2 * s * m), third]
+        for order in ((0, 1, 2), (2, 1, 0)):
+            g = CircleGraph.build(["v"], [
+                (f"e{i}", "v", "v", *loops[j]) for i, j in enumerate(order)
+            ])
+            table = loop_table(g, 10)
+            assert table == enumerated_table(g, 10)
+            for e in table.entries:
+                expected = math.comb(e.k, e.k // 2) if e.k % 2 == 0 else 0
+                assert len(e.degenerate_words) == expected
+
+
+def test_deep_two_loop_table_matches_binomial_closed_form():
+    # 2^23 closed words at k = 23, under the default cap
+    (p1, q1), (p2, q2) = (3, -2), (1, 5)
+    g = CircleGraph.build(["v"], [("a", "v", "v", p1, q1), ("b", "v", "v", p2, q2)])
+    table = loop_table(g, 23)
+    for e in table.entries:
+        k = e.k
+        terms = [(math.comb(k, j), p1**j * p2 ** (k - j), q1**j * q2 ** (k - j))
+                 for j in range(k + 1)]
+        assert e.loop_count == sum(c * abs(pp - qq) for c, pp, qq in terms)
+        assert e.formula_count == sum(c * abs(pp - abs(qq)) for c, pp, qq in terms)
+    assert loop_count(g, 23) == table.entry(23).loop_count
+    with pytest.raises(CapExceededError, match="more than 10000000 words of length 24"):
+        loop_table(g, 24)
 
 
 def test_torus_bruteforce_known_values():
