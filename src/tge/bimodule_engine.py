@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NormalizationError
-from .graph_core import CircleGraph, Symbol
+from .graph_core import CircleGraph, Symbol, walk_words
 from .laurent_algebra import GR_ONE, GaussianRational, LaurentPoly
 
 
@@ -219,24 +219,9 @@ def verify_basis(g: CircleGraph, max_exponent: int | None = None) -> BasisReport
 
 def admissible_tuples(g: CircleGraph, length: int) -> tuple[tuple[Symbol, ...], ...]:
     """All symbol words of the given length, empty tuple for length 0."""
-    if length == 0:
-        return ((),)
-    sg = g.symbol_graph()
-    syms = sg.symbols
-    out: list[tuple[Symbol, ...]] = []
-
-    def extend(prefix: list[int]) -> None:
-        if len(prefix) == length:
-            out.append(tuple(syms[i] for i in prefix))
-            return
-        for j in range(len(syms)):
-            if not prefix or sg.adjacency[prefix[-1]][j]:
-                prefix.append(j)
-                extend(prefix)
-                prefix.pop()
-
-    extend([])
-    return tuple(out)
+    g.require_valid()
+    return tuple(walk_words(
+        g.symbols(), lambda s: g.symbols_into(g.edge_named(s.edge).source), length))
 
 
 def tuple_source(g: CircleGraph, word: tuple[Symbol, ...]) -> str | None:
@@ -346,16 +331,12 @@ class LaurentMatrix:
         with i, j appended to the row and column words.
         """
         g = self.graph
-        syms = g.symbols()
-        basis = {s: basis_vector(g, s) for s in syms}
+        basis = {s: basis_vector(g, s) for s in g.symbols()}
         ents: dict[tuple, LaurentPoly] = {}
         for i, j, poly in self.entries:
             row, col = self.index[i], self.index[j]
-            v = poly.vertex
-            for sj in syms:
+            for sj in g.symbols_into(poly.vertex):
                 e = g.edge_named(sj.edge)
-                if e.range != v:
-                    continue
                 moved = basis[sj].act_left(poly)
                 # cross-edge inner products vanish: only symbols on the
                 # same edge can produce a nonzero block entry

@@ -363,8 +363,8 @@ def main(argv: list[str] | None = None) -> int:
         kmax = getattr(args, "kmax", None)
         if kmax is not None and kmax < 1:
             raise OSError(f"--kmax must be >= 1, got {kmax}")
-        if args.tol <= 0:
-            raise OSError(f"--tol must be positive, got {args.tol}")
+        if not 0 < args.tol < 1:
+            raise OSError(f"--tol must lie strictly between 0 and 1, got {args.tol}")
         if args.cap < 1:
             raise OSError(f"--cap must be >= 1, got {args.cap}")
         g, digest = _load_graph(args.graph)

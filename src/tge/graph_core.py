@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 from typing import Iterator, NamedTuple
 
 from .errors import CapExceededError, GraphFormatError, GraphValidationError
@@ -37,9 +39,22 @@ class CircleEdge:
     q: int
 
 
+class _GraphIndex(NamedTuple):
+    """Lookups of one graph, all in input order."""
+
+    edge: dict[str, CircleEdge]
+    into: dict[str, tuple[CircleEdge, ...]]
+    symbols: tuple[Symbol, ...]
+    symbols_into: dict[str, tuple[Symbol, ...]]
+
+
 @dataclass(frozen=True)
 class CircleGraph:
-    """Immutable graph spec; run validate() before trusting the data."""
+    """Immutable graph spec; run validate() before trusting the data.
+
+    Lookups by edge name and by range vertex go through one index, built on
+    first use and kept on the graph object; fields alone decide == and hash.
+    """
 
     vertices: tuple[str, ...]
     edges: tuple[CircleEdge, ...]
@@ -53,23 +68,30 @@ class CircleGraph:
         """One vertex, one loop edge with covering degree p and winding q."""
         return cls((vertex,), (CircleEdge(edge, vertex, vertex, p, q),))
 
-    def edge_named(self, name: str) -> CircleEdge:
+    @cached_property
+    def _index(self) -> _GraphIndex:
+        edge: dict[str, CircleEdge] = {}
+        into: dict[str, tuple[CircleEdge, ...]] = {}
+        symbols: list[Symbol] = []
+        symbols_into: dict[str, tuple[Symbol, ...]] = {}
         for e in self.edges:
-            if e.name == name:
-                return e
-        raise KeyError(f"no edge named {name!r}")
+            sheets = tuple(Symbol(e.name, k) for k in range(1, e.p + 1))
+            edge.setdefault(e.name, e)
+            into[e.range] = into.get(e.range, ()) + (e,)
+            symbols.extend(sheets)
+            symbols_into[e.range] = symbols_into.get(e.range, ()) + sheets
+        return _GraphIndex(edge, into, tuple(symbols), symbols_into)
 
-    def edges_from(self, vertex: str) -> tuple[CircleEdge, ...]:
-        return tuple(e for e in self.edges if e.source == vertex)
+    def edge_named(self, name: str) -> CircleEdge:
+        """The first edge with this name."""
+        try:
+            return self._index.edge[name]
+        except KeyError:
+            raise KeyError(f"no edge named {name!r}") from None
 
     def edges_into(self, vertex: str) -> tuple[CircleEdge, ...]:
-        return tuple(e for e in self.edges if e.range == vertex)
-
-    def vertex_index(self, vertex: str) -> int:
-        try:
-            return self.vertices.index(vertex)
-        except ValueError:
-            raise KeyError(f"no vertex named {vertex!r}") from None
+        """Edges whose range is vertex, in edge order."""
+        return self._index.into.get(vertex, ())
 
     def validate(self) -> list[str]:
         """Return every violated graph invariant, naming the offender.
@@ -106,10 +128,14 @@ class CircleGraph:
                 violations.append(f"vertex {v!r} is not the range of any edge")
         return violations
 
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        return tuple(self.validate())
+
     def require_valid(self) -> None:
-        violations = self.validate()
-        if violations:
-            raise GraphValidationError(violations)
+        """Raise GraphValidationError naming every violation; checked once per graph."""
+        if self._violations:
+            raise GraphValidationError(self._violations)
 
     def transpose(self) -> "CircleGraph":
         """Swap the roles of the two endpoint maps on every edge.
@@ -126,7 +152,11 @@ class CircleGraph:
 
     def symbols(self) -> tuple[Symbol, ...]:
         """Sheet symbols (e, 1), ..., (e, p(e)) in edge order."""
-        return tuple(Symbol(e.name, k) for e in self.edges for k in range(1, e.p + 1))
+        return self._index.symbols
+
+    def symbols_into(self, vertex: str) -> tuple[Symbol, ...]:
+        """Sheet symbols of the edges whose range is vertex, in symbol order."""
+        return self._index.symbols_into.get(vertex, ())
 
     def symbol_graph(self) -> "SymbolGraph":
         return SymbolGraph.from_graph(self)
@@ -179,13 +209,12 @@ class SymbolGraph:
     def from_graph(cls, g: CircleGraph) -> "SymbolGraph":
         g.require_valid()
         syms = g.symbols()
-        source_of = {e.name: e.source for e in g.edges}
-        range_of = {e.name: e.range for e in g.edges}
-        rows = tuple(
-            tuple(1 if source_of[a.edge] == range_of[b.edge] else 0 for b in syms)
-            for a in syms
-        )
-        return cls(syms, rows)
+        ranges = [g.edge_named(b.edge).range for b in syms]
+        rows = []
+        for a in syms:
+            source = g.edge_named(a.edge).source
+            rows.append(tuple(1 if r == source else 0 for r in ranges))
+        return cls(syms, tuple(rows))
 
     def index(self, sym: Symbol) -> int:
         try:
@@ -197,6 +226,32 @@ class SymbolGraph:
         return bool(self.adjacency[self.index(a)][self.index(b)])
 
 
+def walk_words(first, successors, k: int) -> Iterator[tuple]:
+    """Every k-letter word a_1 ... a_k with a_1 in first and each a_{i+1} in
+    successors(a_i), lexicographic in the orders those iterables give.
+
+    Length 0 has just the empty word; negative lengths have none.
+    """
+    if k < 1:
+        if k == 0:
+            yield ()
+        return
+    prefix: list = []
+    stack = [iter(first)]
+    while stack:
+        for letter in stack[-1]:
+            if len(stack) == k:
+                yield (*prefix, letter)
+            else:
+                prefix.append(letter)
+                stack.append(iter(successors(letter)))
+                break
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+
+
 def enumerate_words(g: CircleGraph, k: int, closed: bool = False,
                     cap: int = DEFAULT_WORD_CAP) -> list[DiscreteWord]:
     """All length-k words, lexicographic in the input edge order.
@@ -204,33 +259,7 @@ def enumerate_words(g: CircleGraph, k: int, closed: bool = False,
     With closed=True only words whose source equals their range are kept.
     Raises CapExceededError once more than cap words have been produced.
     """
-    g.require_valid()
-    if k < 1:
-        raise ValueError(f"word length must be >= 1, got {k}")
-    by_range: dict[str, list[CircleEdge]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        by_range[e.range].append(e)
-    out: list[DiscreteWord] = []
-    prefix: list[str] = []
-
-    def extend(last: CircleEdge, depth: int, first: CircleEdge) -> None:
-        if depth == k:
-            if not closed or last.source == first.range:
-                if len(out) >= cap:
-                    raise CapExceededError(f"more than {cap} words of length {k}")
-                out.append(DiscreteWord(tuple(prefix)))
-            return
-        # next edge must have range equal to the current source
-        for e in by_range[last.source]:
-            prefix.append(e.name)
-            extend(e, depth + 1, first)
-            prefix.pop()
-
-    for e in g.edges:
-        prefix.append(e.name)
-        extend(e, 1, e)
-        prefix.pop()
-    return out
+    return [DiscreteWord(w) for w, _, _ in iter_word_products(g, k, closed, cap)]
 
 
 def iter_word_products(g: CircleGraph, k: int, closed: bool = True,
@@ -239,30 +268,14 @@ def iter_word_products(g: CircleGraph, k: int, closed: bool = True,
     g.require_valid()
     if k < 1:
         raise ValueError(f"word length must be >= 1, got {k}")
-    by_range: dict[str, list[CircleEdge]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        by_range[e.range].append(e)
-    prefix: list[str] = []
     count = 0
-
-    def walk(last: CircleEdge, depth: int, first: CircleEdge, pp: int, qq: int):
-        nonlocal count
-        if depth == k:
-            if not closed or last.source == first.range:
-                count += 1
-                if count > cap:
-                    raise CapExceededError(f"more than {cap} words of length {k}")
-                yield tuple(prefix), pp, qq
-            return
-        for e in by_range[last.source]:
-            prefix.append(e.name)
-            yield from walk(e, depth + 1, first, pp * e.p, qq * e.q)
-            prefix.pop()
-
-    for e in g.edges:
-        prefix.append(e.name)
-        yield from walk(e, 1, e, e.p, e.q)
-        prefix.pop()
+    for word in walk_words(g.edges, lambda e: g.edges_into(e.source), k):
+        if closed and word[-1].source != word[0].range:
+            continue
+        count += 1
+        if count > cap:
+            raise CapExceededError(f"more than {cap} words of length {k}")
+        yield tuple(e.name for e in word), prod(e.p for e in word), prod(e.q for e in word)
 
 
 def parse_graph_spec(obj) -> CircleGraph:

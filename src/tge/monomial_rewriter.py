@@ -303,10 +303,6 @@ def _constant_of(poly: LaurentPoly) -> GaussianRational | None:
 
 def _complete(g: CircleGraph, cells: dict) -> None:
     """Collapse full generator families S_{mu j} c S_{nu j}* -> S_mu c 1_v S_nu*."""
-    into: dict[str, tuple[Symbol, ...]] = {v: () for v in g.vertices}
-    for s in g.symbols():
-        v = g.edge_named(s.edge).range
-        into[v] = into[v] + (s,)
     changed = True
     while changed:
         changed = False
@@ -321,7 +317,7 @@ def _complete(g: CircleGraph, cells: dict) -> None:
             tail_vertex = g.edge_named(j.edge).range
             groups.setdefault((alpha[:-1], beta[:-1], tail_vertex), {})[j] = c
         for (mu, nu, v), members in groups.items():
-            family = into[v]
+            family = g.symbols_into(v)
             if not family or any(s not in members for s in family):
                 continue
             consts = {members[s] for s in family}
@@ -354,15 +350,18 @@ def normalize(x: MonomialSum, g: CircleGraph) -> MonomialSum:
     ordered = sorted(
         cells.items(), key=lambda kv: (len(kv[0][0]), len(kv[0][1]), kv[0])
     )
-    terms = []
-    for (alpha, beta, _v), poly in ordered:
-        atoms = (
-            tuple(("S", s) for s in alpha)
-            + (("fn", poly),)
-            + tuple(("S*", s) for s in reversed(beta))
-        )
-        terms.append(MonomialTerm(GR_ONE, atoms))
-    return MonomialSum(tuple(terms))
+    return MonomialSum(
+        tuple(_normal_term(alpha, poly, beta) for (alpha, beta, _v), poly in ordered))
+
+
+def _normal_term(alpha: tuple, poly: LaurentPoly, beta: tuple) -> MonomialTerm:
+    """The shaped term S_alpha . poly . S_beta*, beta in word order."""
+    return MonomialTerm(
+        GR_ONE,
+        tuple(("S", s) for s in alpha)
+        + (("fn", poly),)
+        + tuple(("S*", s) for s in reversed(beta)),
+    )
 
 
 def _refine_cell(g: CircleGraph, alpha: tuple, beta: tuple,
@@ -375,10 +374,8 @@ def _refine_cell(g: CircleGraph, alpha: tuple, beta: tuple,
     """
     out = []
     w = poly.vertex
-    for s in g.symbols():
+    for s in g.symbols_into(w):
         e = g.edge_named(s.edge)
-        if e.range != w:
-            continue
         for n, c in poly.terms:
             sym2, shift = act_left_monomial(g, w, n, s)
             out.append((alpha + (sym2,), beta + (s,),
@@ -454,42 +451,14 @@ def psi_core(x: MonomialSum, g: CircleGraph) -> MonomialSum:
                 "second shift needs balanced word lengths on every term; "
                 f"got |alpha|={len(alpha)}, |beta|={len(beta)}"
             )
-        v = mid.vertex
-        head = tuple(("S", s) for s in alpha)
-        tail = tuple(("S*", s) for s in reversed(beta))
-        for j in g.symbols():
-            e = g.edge_named(j.edge)
-            if e.range != v:
-                continue
-            for n, c in mid.terms:
-                sym2, shift = act_left_monomial(g, v, n, j)
-                out.append(
-                    MonomialTerm(
-                        GR_ONE,
-                        head
-                        + (
-                            ("S", sym2),
-                            ("fn", LaurentPoly.monomial(e.source, shift, c)),
-                            ("S*", j),
-                        )
-                        + tail,
-                    )
-                )
+        out.extend(_normal_term(a, poly, b) for a, b, poly in _refine_cell(g, alpha, beta, mid))
     return normalize(MonomialSum(tuple(out)), g)
 
 
 def matrix_to_sum(m: LaurentMatrix) -> MonomialSum:
     """Reread a Laurent matrix as the sum of S_row . entry . S_col* terms."""
-    terms = []
-    for i, j, poly in m.entries:
-        row, col = m.index[i], m.index[j]
-        atoms = (
-            tuple(("S", s) for s in row)
-            + (("fn", poly),)
-            + tuple(("S*", s) for s in reversed(col))
-        )
-        terms.append(MonomialTerm(GR_ONE, atoms))
-    return MonomialSum(tuple(terms))
+    return MonomialSum(
+        tuple(_normal_term(m.index[i], poly, m.index[j]) for i, j, poly in m.entries))
 
 
 @dataclass(frozen=True)
@@ -585,16 +554,13 @@ def matrix_unit_check(g: CircleGraph, k: int, max_failures: int = 10) -> MatrixU
     by_source: dict[str, list] = {}
     for w in words:
         by_source.setdefault(tuple_source(g, w), []).append(w)
-    into: dict[str, list[Symbol]] = {v: [] for v in g.vertices}
-    for s in g.symbols():
-        into[g.edge_named(s.edge).range].append(s)
     unit_pairs = 0
     triples = []
     for v, group in by_source.items():
         unit_pairs += len(group) ** 2
         for mu in group:
             for nu in group:
-                for i in into[v]:
+                for i in g.symbols_into(v):
                     triples.append((mu, i, nu))
 
     def unit_sum(mu, i, nu):

@@ -116,7 +116,6 @@ def cyclic_exponent_matrix(g: CircleGraph, word: DiscreteWord) -> ExactMatrix:
     i+1 (cyclically) must vanish.  For a length-1 word both terms land in
     the single cell, giving p - q.
     """
-    word.check_valid(g)
     if not word.is_closed(g):
         raise ValueError("cyclic exponent matrix needs a closed word")
     k = len(word.edges)
@@ -154,7 +153,6 @@ class WordWeight:
 
 
 def word_weight(g: CircleGraph, word: DiscreteWord) -> WordWeight:
-    word.check_valid(g)
     if not word.is_closed(g):
         raise ValueError("loop weights are defined for closed words only")
     pp = 1
@@ -250,11 +248,7 @@ class ClosedWordTables:
 
     def __init__(self, g: CircleGraph):
         g.require_valid()
-        self.vertices = g.vertices
-        self.edges = g.edges
-        self.by_range: dict[str, list] = {v: [] for v in g.vertices}
-        for e in g.edges:
-            self.by_range[e.range].append(e)
+        self.graph = g
         self.layers = [{(v, v): {(1, 1): 1} for v in g.vertices}]
         self._suffix_cache: dict = {}
 
@@ -262,7 +256,7 @@ class ClosedWordTables:
         while len(self.layers) <= m:
             nxt: dict = {}
             for (start, cur), states in self.layers[-1].items():
-                for f in self.by_range[cur]:
+                for f in self.graph.edges_into(cur):
                     fp, fq = f.p, f.q
                     bucket = nxt.setdefault((start, f.source), {})
                     for (pp, qq), mult in states.items():
@@ -276,7 +270,7 @@ class ClosedWordTables:
         sum |prod p - prod q| over the others, sum |prod p - |prod q||)."""
         layer = self.layer(k)
         words = degenerate = loops = formula = 0
-        for v in self.vertices:
+        for v in self.graph.vertices:
             for (pp, qq), mult in layer.get((v, v), {}).items():
                 words += mult
                 if pp == qq:
@@ -325,10 +319,10 @@ class ClosedWordTables:
                     rank += 1
                     yield rank, tuple(prefix), p2
                 else:
-                    yield from walk(self.by_range[e.source], end, p2, q2, m - 1)
+                    yield from walk(self.graph.edges_into(e.source), end, p2, q2, m - 1)
                 prefix.pop()
 
-        return walk(self.edges, None, 1, 1, k)
+        return walk(self.graph.edges, None, 1, 1, k)
 
 
 def _cap_error(cap: int, k: int) -> CapExceededError:
@@ -367,16 +361,10 @@ periodic_point_count = loop_count
 
 def word_weights(g: CircleGraph, k: int, cap: int = DEFAULT_WORD_CAP) -> list[WordWeight]:
     """Per-word loop statistics for all closed words of length k."""
-    out = []
-    for word, pp, qq in iter_word_products(g, k, closed=True, cap=cap):
-        det = pp - qq
-        aq = 1
-        for name in word:
-            aq *= abs(g.edge_named(name).q)
-        out.append(
-            WordWeight(word, pp, qq, abs(det) if det else None, abs(pp - aq))
-        )
-    return out
+    return [
+        word_weight(g, DiscreteWord(word))
+        for word, _, _ in iter_word_products(g, k, closed=True, cap=cap)
+    ]
 
 
 def loop_table(g: CircleGraph, k_max: int, cap: int = DEFAULT_WORD_CAP) -> LoopCountTable:

@@ -163,7 +163,8 @@ def test_io_and_config_errors_exit_2(capsys, monkeypatch):
     assert code2 == 2
     assert "TGE_THREADS" in err2
     monkeypatch.delenv("TGE_THREADS")
-    for flags in (["--kmax", "0"], ["--tol", "0"], ["--cap", "0"]):
+    for flags in (["--kmax", "0"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"],
+                  ["--tol", "1"], ["--cap", "0"]):
         code3, out3, err3 = run(capsys, ["analyze", TWO_LOOPS, *flags])
         assert code3 == 2, flags
         assert out3 == ""

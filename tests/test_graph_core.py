@@ -1,12 +1,15 @@
 """Graph construction, validation, words, transposition and sheet symbols.
 
-Covers: every validation rule fires and names its offender; spec parsing
+Covers: every validation rule fires and names its offender; the per-graph
+lookup index and cached validation keep the scan semantics; spec parsing
 rejects malformed shapes; word enumeration agrees with adjacency-matrix
-counts; transposition is an involution that swaps degree data; symbol
-graphs have the predicted shapes.
+counts and with filtered products; transposition is an involution that
+swaps degree data; symbol graphs have the predicted shapes.
 """
 
+import itertools
 import json
+import random
 
 import pytest
 
@@ -17,12 +20,13 @@ from tge import (
     GraphFormatError,
     GraphValidationError,
     Symbol,
+    admissible_tuples,
     enumerate_words,
     load_graph,
     parse_graph_spec,
 )
 
-from conftest import two_loop_graph, two_cycle_graph, three_cycle_graph
+from conftest import random_valid_graph, two_loop_graph, two_cycle_graph, three_cycle_graph
 
 
 def test_validate_lists_every_violation():
@@ -51,6 +55,33 @@ def test_require_valid_raises_with_violations():
         g.require_valid()
     assert exc.value.violations
     assert "q=0" in str(exc.value)
+
+
+def test_require_valid_repeats_the_same_violations():
+    g = CircleGraph.build(["v", "w"], [("e", "v", "v", 0, 1), ("e", "v", "v", 1, 0)])
+    raised = []
+    for _ in range(3):
+        with pytest.raises(GraphValidationError) as exc:
+            g.require_valid()
+        raised.append(exc.value.violations)
+    assert raised == [g.validate()] * 3
+
+
+def test_edge_named_returns_the_first_edge_of_a_name():
+    g = CircleGraph.build(["v"], [("e", "v", "v", 2, 1), ("e", "v", "v", 3, 5)])
+    assert (g.edge_named("e").p, g.edge_named("e").q) == (2, 1)
+    with pytest.raises(KeyError, match="no edge named 'nope'"):
+        g.edge_named("nope")
+
+
+def test_index_does_not_change_equality_or_hash():
+    a, b = two_cycle_graph(), two_cycle_graph()
+    a.edge_named("f")
+    a.symbols_into("v")
+    a.require_valid()
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a.edges_into("v") == b.edges_into("v") == (b.edge_named("h"),)
 
 
 def test_valid_fixture_graphs_pass():
@@ -180,6 +211,28 @@ def test_enumerate_words_order_and_cap():
         enumerate_words(g, 5, cap=3)
     with pytest.raises(ValueError):
         enumerate_words(g, 0)
+
+
+def test_walks_match_filtered_products_on_random_graphs():
+    rng = random.Random(7)
+    for _ in range(40):
+        g = random_valid_graph(rng)
+        for k in range(1, 5):
+            want = [
+                DiscreteWord(tuple(e.name for e in w))
+                for w in itertools.product(g.edges, repeat=k)
+                if all(a.source == b.range for a, b in zip(w, w[1:]))
+            ]
+            assert enumerate_words(g, k) == want, (g, k)
+            closed = [w for w in want if w.is_closed(g)]
+            assert enumerate_words(g, k, closed=True) == closed, (g, k)
+        for length in range(4):
+            want = tuple(
+                w for w in itertools.product(g.symbols(), repeat=length)
+                if all(g.edge_named(a.edge).source == g.edge_named(b.edge).range
+                       for a, b in zip(w, w[1:]))
+            )
+            assert admissible_tuples(g, length) == want, (g, length)
 
 
 def test_discrete_word_validity():
