@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import NormalizationError
 from .graph_core import CircleGraph, Symbol, walk_words
-from .laurent_algebra import GR_ONE, GaussianRational, LaurentPoly
+from .laurent_algebra import LaurentPoly
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .entropy_report import (
     DEFAULT_KMAX,
     analyze,
     conjecture_check,
+    vertex_radii,
 )
 from .errors import (
     CapExceededError,
@@ -36,17 +37,11 @@ from .errors import (
     GraphValidationError,
     SpectralConvergenceError,
 )
-from .exact_matrix import DEFAULT_MAX_ITER, DEFAULT_TOL, spectral_radius
+from .exact_matrix import DEFAULT_TOL
 from .bimodule_engine import verify_basis
 from .graph_core import DEFAULT_WORD_CAP, CircleGraph, parse_graph_spec
 from .monomial_rewriter import normalize, parse_expression, render_sum
-from .path_counting import (
-    covering_matrix,
-    loop_table,
-    symbol_matrix,
-    winding_matrix,
-    winding_matrix_abs,
-)
+from .path_counting import loop_table, symbol_matrix
 
 log = logging.getLogger("tge")
 
@@ -284,25 +279,16 @@ def cmd_verify_basis(args, g: CircleGraph, digest: str):
 
 
 def cmd_spectra(args, g: CircleGraph, digest: str):
-    p_mat = covering_matrix(g)
-    q_mat = winding_matrix(g)
-    qa_mat = winding_matrix_abs(g)
-    sym = symbol_matrix(g)
-    rho_p = spectral_radius(p_mat, tol=args.tol).radius
-    rho_qa = spectral_radius(qa_mat, tol=args.tol).radius
-    rho_sym = spectral_radius(sym, tol=args.tol).radius
-    rho_q = (
-        spectral_radius(q_mat, tol=args.tol).radius if q_mat.is_nonnegative() else None
-    )
+    r = vertex_radii(g, tol=args.tol)
     body = {
-        "P": _matrix_doc(p_mat),
-        "Q": _matrix_doc(q_mat),
-        "Q_abs": _matrix_doc(qa_mat),
-        "Lambda": _matrix_doc(sym),
-        "rho_P": rho_p,
-        "rho_Q_abs": rho_qa,
-        "rho_Q_signed": rho_q,
-        "rho_Lambda": rho_sym,
+        "P": _matrix_doc(r.P),
+        "Q": _matrix_doc(r.Q),
+        "Q_abs": _matrix_doc(r.Q_abs),
+        "Lambda": _matrix_doc(symbol_matrix(g)),
+        "rho_P": r.rho_P,
+        "rho_Q_abs": r.rho_Q_abs,
+        "rho_Q_signed": r.rho_Q_signed,
+        "rho_Lambda": r.rho_P,  # the same radius, see vertex_radii
     }
     if args.format in ("text", "csv"):
         lines = []
@@ -310,9 +296,7 @@ def cmd_spectra(args, g: CircleGraph, digest: str):
             lines.append(f"{name}:")
             for row in body[name]["rows"]:
                 lines.append("  " + " ".join(str(x) for x in row))
-        lines.append(f"rho_P: {rho_p:.12g}")
-        lines.append(f"rho_Q_abs: {rho_qa:.12g}")
-        lines.append(f"rho_Lambda: {rho_sym:.12g}")
+        lines += [f"{k}: {body[k]:.12g}" for k in ("rho_P", "rho_Q_abs", "rho_Lambda")]
         return "\n".join(lines) + "\n"
     return _envelope("spectra", digest, body)
 

@@ -4,14 +4,13 @@ Three exponential growth rates are extracted from a circle graph:
 
 * block entropy: log of the spectral radius of the absolute winding
   matrix (backward path lifts);
-* its transpose-graph counterpart, computed honestly on the transposed
-  graph (it provably equals log of the covering-matrix radius);
+* its transpose-graph counterpart, log rho(P) (see vertex_radii);
 * the loop rate: the best lower bound (1/k) log L_k extracted from the
   loop-count table, which bounds the second shift's entropy from below.
 
-The first shift's entropy equals log of the symbol-matrix radius whenever
-the underlying algebra is simple; nothing here checks simplicity, so that
-value is reported with the hypothesis spelled out in the notes.
+The first shift's entropy equals log rho(Lambda) of the symbol matrix,
+and so log rho(P), whenever the underlying algebra is simple; nothing here
+checks simplicity, so that value is reported with the hypothesis in the notes.
 
 The comparison asks whether the loop rate is consistent with
 log max(rho_covering, rho_winding_abs).
@@ -25,15 +24,14 @@ from dataclasses import dataclass, field
 from .errors import DegenerateLoopError
 from .graph_core import DEFAULT_WORD_CAP, CircleGraph
 from .exact_matrix import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    ExactMatrix,
     spectral_radius,
     strong_components,
 )
 from .path_counting import (
     LoopCountTable,
     covering_matrix,
-    edge_count_matrix,
     loop_table,
     symbol_matrix,
     winding_matrix,
@@ -47,24 +45,57 @@ DEFAULT_KMAX = 14
 VERDICT_SLACK = 0.05
 
 
-def block_entropy(g: CircleGraph, tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER) -> float:
+def _log(rho: float) -> float:
+    return math.log(rho) if rho > 0 else float("-inf")
+
+
+def block_entropy(g: CircleGraph, tol: float = DEFAULT_TOL) -> float:
     """log of the absolute winding matrix's spectral radius (-inf when 0)."""
-    rho = spectral_radius(winding_matrix_abs(g), tol=tol, max_iter=max_iter).radius
-    return math.log(rho) if rho > 0 else float("-inf")
+    return _log(spectral_radius(winding_matrix_abs(g), tol=tol).radius)
 
 
-def block_entropy_transpose(g: CircleGraph, tol: float = DEFAULT_TOL,
-                            max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Block entropy of the transposed graph (equals log the covering radius)."""
-    return block_entropy(g.transpose(), tol=tol, max_iter=max_iter)
+def block_entropy_transpose(g: CircleGraph, tol: float = DEFAULT_TOL) -> float:
+    """Block entropy computed on the transposed graph; an oracle for log rho(P)."""
+    return block_entropy(g.transpose(), tol=tol)
 
 
-def ht_phi(g: CircleGraph, tol: float = DEFAULT_TOL,
-           max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """log of the symbol matrix's spectral radius (-inf when 0)."""
-    rho = spectral_radius(symbol_matrix(g), tol=tol, max_iter=max_iter).radius
-    return math.log(rho) if rho > 0 else float("-inf")
+def ht_phi(g: CircleGraph, tol: float = DEFAULT_TOL) -> float:
+    """log rho(Lambda) iterated on the dense symbol matrix; an oracle for log rho(P)."""
+    return _log(spectral_radius(symbol_matrix(g), tol=tol).radius)
+
+
+@dataclass(frozen=True)
+class VertexRadii:
+    """The vertex matrices of one graph and their Perron roots; rho_P is rho(Lambda) too."""
+
+    P: ExactMatrix
+    Q: ExactMatrix
+    Q_abs: ExactMatrix
+    rho_P: float
+    rho_Q_abs: float
+    rho_Q_signed: float | None
+
+
+def vertex_radii(g: CircleGraph, tol: float = DEFAULT_TOL) -> VertexRadii:
+    """P, Q and |Q| of a validated graph, each radius computed once.
+
+    rho(Lambda) = rho(P): with A[(e,k), v] = [s(e) = v] and
+    B[v, (f,l)] = [r(f) = v], the symbol matrix is Lambda = A B, while
+    (B A)[v, w] sums p(f) over the edges f from w to v, so B A = P^T.
+    A B and B A share their nonzero eigenvalues (Horn & Johnson, Matrix
+    Analysis, Thm 1.3.22).  The transposed graph reverses each edge and
+    covers with degree |q(e)|, winding +-p(e) times, so its absolute
+    winding matrix is P^T as well.  rho_Q_signed is None when Q has a
+    negative entry: power iteration has no business on mixed signs.
+    """
+    g.require_valid()
+    p_mat = covering_matrix(g)
+    q_mat = winding_matrix(g)
+    qa_mat = winding_matrix_abs(g)
+    rho_p = spectral_radius(p_mat, tol=tol).radius
+    rho_qa = spectral_radius(qa_mat, tol=tol).radius
+    rho_q = spectral_radius(q_mat, tol=tol).radius if q_mat.is_nonnegative() else None
+    return VertexRadii(p_mat, q_mat, qa_mat, rho_p, rho_qa, rho_q)
 
 
 @dataclass(frozen=True)
@@ -163,8 +194,8 @@ class ConjectureVerdict:
 
 
 def conjecture_check(g: CircleGraph, k_max: int = DEFAULT_KMAX,
-                     tol: float = DEFAULT_TOL, cap: int = DEFAULT_WORD_CAP,
-                     max_iter: int = DEFAULT_MAX_ITER) -> ConjectureVerdict:
+                     tol: float = DEFAULT_TOL,
+                     cap: int = DEFAULT_WORD_CAP) -> ConjectureVerdict:
     """Compare the loop rate with log max(rho_covering, rho_winding_abs).
 
     Consistent when the gap is within max(VERDICT_SLACK, sandwich width);
@@ -172,31 +203,24 @@ def conjecture_check(g: CircleGraph, k_max: int = DEFAULT_KMAX,
     inconclusive otherwise (including when no finite estimate exists).
     Equal covering and winding radii are always inconclusive: there the
     trace sandwich degenerates, so finite-length closeness proves nothing
-    and only the margins are worth reporting.  The signed winding matrix
-    gets its own radius only when it is entrywise nonnegative; otherwise
-    it is recorded verbatim for the reader, since power iteration has no
-    business on mixed-sign entries.
+    and only the margins are worth reporting.  A signed winding matrix
+    with negative entries has no radius (see vertex_radii) and is
+    recorded verbatim for the reader instead.
     """
-    g.require_valid()
-    p_mat = covering_matrix(g)
-    qa_mat = winding_matrix_abs(g)
-    q_mat = winding_matrix(g)
-    rho_p = spectral_radius(p_mat, tol=tol, max_iter=max_iter).radius
-    rho_qa = spectral_radius(qa_mat, tol=tol, max_iter=max_iter).radius
+    radii = vertex_radii(g, tol=tol)
+    rho_p, rho_qa = radii.rho_P, radii.rho_Q_abs
     notes: list[str] = []
-    rho_q_signed = None
     signed_matrix = None
-    if q_mat.is_nonnegative():
-        rho_q_signed = spectral_radius(q_mat, tol=tol, max_iter=max_iter).radius
-    else:
-        signed_matrix = q_mat.entries
+    if radii.rho_Q_signed is None:
+        signed_matrix = radii.Q.entries
         notes.append(
             "signed winding matrix has negative entries; its radius is not "
             "estimated here and the matrix is recorded instead"
         )
     est = loop_entropy_estimate(g, k_max, cap=cap)
-    target = math.log(max(rho_p, rho_qa)) if max(rho_p, rho_qa) > 0 else float("-inf")
-    comp = strong_components(edge_count_matrix(g))
+    target = _log(max(rho_p, rho_qa))
+    # every edge has p >= 1, so P has the support of the edge-count matrix
+    comp = strong_components(radii.P)
     strongly_connected = len(comp) == 1
     if not strongly_connected:
         notes.append(
@@ -255,7 +279,7 @@ def conjecture_check(g: CircleGraph, k_max: int = DEFAULT_KMAX,
         sandwich_high=est.sandwich_high,
         rho_p=rho_p,
         rho_q_abs=rho_qa,
-        rho_q_signed=rho_q_signed,
+        rho_q_signed=radii.rho_Q_signed,
         signed_matrix=signed_matrix,
         strongly_connected=strongly_connected,
         component_count=len(comp),
@@ -322,32 +346,31 @@ def _num(x: float | None) -> float | None:
 
 
 def analyze(g: CircleGraph, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL,
-            cap: int = DEFAULT_WORD_CAP,
-            max_iter: int = DEFAULT_MAX_ITER) -> EntropyReport:
+            cap: int = DEFAULT_WORD_CAP) -> EntropyReport:
     """Full growth-rate report for one validated graph.
 
-    Builds one loop table, after every radius the verdict needs, and
-    keeps it on the report (not serialized) for tabular output.
+    The verdict computes the radii and then one loop table, kept on the
+    report (not serialized) for tabular output.  rho(Lambda) = rho(P) and
+    the transposed graph's absolute winding matrix is P^T (proofs in
+    vertex_radii), so ht_phi = h_b_transpose = log rho(P).
     """
-    g.require_valid()
-    rho_sym = spectral_radius(symbol_matrix(g), tol=tol, max_iter=max_iter).radius
-    verdict = conjecture_check(g, k_max=k_max, tol=tol, cap=cap, max_iter=max_iter)
+    verdict = conjecture_check(g, k_max=k_max, tol=tol, cap=cap)
     est = verdict.loop_estimate
-    rho_qa = verdict.rho_q_abs
+    h_p = _log(verdict.rho_p)
     notes = [
         "ht_phi assumes the ambient algebra is simple; simplicity is not checked",
     ]
     notes.extend(verdict.notes)
     return EntropyReport(
-        h_b=math.log(rho_qa) if rho_qa > 0 else float("-inf"),
-        h_b_transpose=block_entropy_transpose(g, tol=tol, max_iter=max_iter),
+        h_b=_log(verdict.rho_q_abs),
+        h_b_transpose=h_p,
         h_ell_sequence=est.sequence,
         h_ell_estimate=est.estimate,
-        ht_phi=math.log(rho_sym) if rho_sym > 0 else float("-inf"),
+        ht_phi=h_p,
         ht_psi_lower=est.estimate,
         rho_P=verdict.rho_p,
-        rho_Q_abs=rho_qa,
-        rho_Lambda=rho_sym,
+        rho_Q_abs=verdict.rho_q_abs,
+        rho_Lambda=verdict.rho_p,
         conjecture_verdict=verdict,
         notes=tuple(notes),
         table=est.table,

@@ -257,21 +257,15 @@ def strong_components(m: ExactMatrix) -> tuple[tuple[int, ...], ...]:
     """Strongly connected components of the matrix's nonzero pattern.
 
     Indices group by mutual reachability; components come out in reverse
-    topological order of the condensation.
+    topological order of the condensation (iterative Tarjan).
     """
-    support = [[1 if x else 0 for x in row] for row in m.entries]
-    return tuple(tuple(c) for c in _strong_components(support))
-
-
-def _strong_components(adj: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components of a 0/1 support digraph (iterative Tarjan)."""
-    n = len(adj)
-    succ = [[j for j in range(n) if adj[i][j]] for i in range(n)]
+    n = m.n
+    succ = [[j for j, x in enumerate(row) if x] for row in m.entries]
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    comps: list[list[int]] = []
+    comps: list[tuple[int, ...]] = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
@@ -309,8 +303,8 @@ def _strong_components(adj: list[list[int]]) -> list[list[int]]:
                     comp.append(w)
                     if w == node:
                         break
-                comps.append(comp)
-    return comps
+                comps.append(tuple(comp))
+    return tuple(comps)
 
 
 def _power_iteration_block(rows: list[list[float]], tol: float, max_iter: int) -> tuple[float, int, float]:
@@ -357,14 +351,12 @@ def spectral_radius(m: ExactMatrix, tol: float = DEFAULT_TOL,
     """
     if not m.is_nonnegative():
         raise ValueError("spectral_radius requires a nonnegative matrix")
-    n = m.n
-    if n == 0:
+    if m.n == 0:
         return SpectralResult(0.0, 0, 0.0)
-    support = [[1 if m.entries[i][j] else 0 for j in range(n)] for i in range(n)]
     best = 0.0
     total_iters = 0
     worst_residual = 0.0
-    for comp in _strong_components(support):
+    for comp in strong_components(m):
         if len(comp) == 1:
             i = comp[0]
             if m.entries[i][i] == 0:

@@ -12,20 +12,26 @@ Claims covered here:
   and records components, signed matrices, and explanatory notes
 - growth rates are weakly monotone under adding an edge
 - analyze builds one loop table and reuses the verdict's radii
+- reports take rho(Lambda) and the transpose rate from rho(P), within
+  1e-9 of the dense oracles, and iterate on vertex matrices only
 - the JSON rendering uses the documented field names
 """
 
+import json
 import math
 import random
 
 import pytest
 
+import tge.cli
 import tge.entropy_report
+import tge.exact_matrix
 from conftest import (
     disconnected_graph,
     equal_radius_graph,
     fixture_graphs,
     random_valid_graph,
+    two_loop_graph,
 )
 from tge.entropy_report import (
     analyze,
@@ -35,11 +41,12 @@ from tge.entropy_report import (
     ht_phi,
     ht_psi_lower,
     loop_entropy_estimate,
+    vertex_radii,
 )
 from tge.errors import DegenerateLoopError
 from tge.exact_matrix import spectral_radius
 from tge.graph_core import CircleGraph
-from tge.path_counting import covering_matrix, symbol_matrix
+from tge.path_counting import covering_matrix, symbol_matrix, winding_matrix
 
 
 def test_block_rates_known_values(two_loops):
@@ -145,11 +152,87 @@ def test_rates_weakly_monotone_under_edge_addition():
         assert ht_phi(bigger) >= ht_phi(g) - 1e-9
 
 
-def test_symbol_rate_matches_covering_rate():
-    for g in fixture_graphs().values():
-        rho_p = spectral_radius(covering_matrix(g)).radius
+def _cycle_and_wide() -> list[CircleGraph]:
+    """A 15-cycle with one p=2 edge, and a 2-vertex graph whose symbol matrix is 62x62."""
+    n = 15
+    cycle = CircleGraph.build(
+        [f"v{i}" for i in range(n)],
+        [(f"e{i}", f"v{i}", f"v{(i + 1) % n}", 2 if i == 6 else 1, -1 if i % 4 else 1)
+         for i in range(n)],
+    )
+    wide = CircleGraph.build(
+        ["v", "w"],
+        [("a", "v", "w", 60, 5), ("b", "w", "v", 1, -3), ("c", "v", "v", 1, 2)],
+    )
+    return [cycle, wide]
+
+
+def _identity_graphs() -> list[CircleGraph]:
+    """The fixture graphs, 40 random graphs, the cycle and the wide graph."""
+    rng = random.Random(4417)
+    return [*fixture_graphs().values(), *(random_valid_graph(rng) for _ in range(40)),
+            *_cycle_and_wide()]
+
+
+def _cli_json(capsys, *argv) -> dict:
+    assert tge.cli.main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _write_spec(g: CircleGraph, path) -> str:
+    edges = [{"name": e.name, "source": e.source, "range": e.range, "p": e.p, "q": e.q}
+             for e in g.edges]
+    path.write_text(json.dumps({"vertices": list(g.vertices), "edges": edges}))
+    return str(path)
+
+
+def test_symbol_rate_matches_covering_rate(tmp_path, capsys):
+    analyzed = 0
+    for i, g in enumerate(_identity_graphs()):
         rho_lam = spectral_radius(symbol_matrix(g)).radius
-        assert abs(rho_p - rho_lam) <= 1e-9
+        h_t = block_entropy_transpose(g)
+        radii = vertex_radii(g)
+        assert radii.rho_P == spectral_radius(covering_matrix(g)).radius
+        path = _write_spec(g, tmp_path / f"g{i}.json")
+        docs = [_cli_json(capsys, "spectra", path)]
+        try:
+            report = analyze(g, k_max=4)
+        except DegenerateLoopError:
+            pass
+        else:
+            analyzed += 1
+            docs += [report.to_json_dict(), _cli_json(capsys, "analyze", path, "--kmax", "4")]
+        for doc in docs:
+            assert doc["rho_Lambda"] == doc["rho_P"]
+            assert abs(doc["rho_Lambda"] - rho_lam) <= 1e-9 * rho_lam
+            if "ht_phi" in doc:
+                assert doc["ht_phi"] == doc["h_b_transpose"]
+                assert abs(doc["h_b_transpose"] - h_t) <= 1e-9 * max(1.0, abs(h_t))
+                assert abs(doc["ht_phi"] - math.log(rho_lam)) <= 1e-9 * max(1.0, abs(h_t))
+    assert analyzed >= 30
+
+
+def test_reports_iterate_on_vertex_matrices_only(tmp_path, capsys, monkeypatch):
+    sizes = []
+    real = tge.exact_matrix.spectral_radius
+
+    def counted(m, *args, **kwargs):
+        sizes.append(m.n)
+        return real(m, *args, **kwargs)
+
+    for module in (tge.exact_matrix, tge.entropy_report, tge.cli):
+        monkeypatch.setattr(module, "spectral_radius", counted, raising=False)
+    # a negative winding that Q still absorbs: Q = (1) >= 0, |Q| = (5)
+    mixed = CircleGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 1, -2)])
+    graphs = [two_loop_graph(), CircleGraph.single_loop(3, -2), mixed, *_cycle_and_wide()]
+    for i, g in enumerate(graphs):
+        bound = 3 if winding_matrix(g).is_nonnegative() else 2
+        path = _write_spec(g, tmp_path / f"g{i}.json")
+        for run in (lambda: analyze(g, k_max=4), lambda: _cli_json(capsys, "spectra", path)):
+            sizes.clear()
+            run()
+            assert 1 <= len(sizes) <= bound
+            assert max(sizes) <= len(g.vertices)
 
 
 def test_report_json_field_names(two_loops):
