@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import NormalizationError
-from .graph_core import CircleGraph, Symbol, walk_words
+from .graph_core import CircleEdge, CircleGraph, Symbol, walk_words
 from .laurent_algebra import LaurentPoly
 
 
@@ -79,22 +80,20 @@ class BimoduleVector:
         The component on edge e survives only when r(e) is f's vertex and
         picks up f with z replaced by z^{q(e)}.
         """
-        parts = {}
-        for name, flag, poly in self.components:
-            e = self.graph.edge_named(name)
-            if e.range != f.vertex:
-                continue
-            parts[name] = (flag, poly * f.substitute_power(e.q).with_vertex(name))
-        return BimoduleVector.build(self.graph, parts)
+        return self._act(f, attrgetter("range", "q"))
 
     def act_right(self, f: LaurentPoly) -> "BimoduleVector":
         """Multiply by a vertex function through the source map (z -> z^{p(e)})."""
+        return self._act(f, attrgetter("source", "p"))
+
+    def _act(self, f: LaurentPoly, endpoint) -> "BimoduleVector":
+        """Act through endpoint(e) = (vertex, power) of each component's edge."""
         parts = {}
         for name, flag, poly in self.components:
-            e = self.graph.edge_named(name)
-            if e.source != f.vertex:
+            vertex, power = endpoint(self.graph.edge_named(name))
+            if vertex != f.vertex:
                 continue
-            parts[name] = (flag, poly * f.substitute_power(e.p).with_vertex(name))
+            parts[name] = (flag, poly * f.substitute_power(power).with_vertex(name))
         return BimoduleVector.build(self.graph, parts)
 
 
@@ -167,6 +166,15 @@ def act_left_monomial(g: CircleGraph, vertex: str, exponent: int,
     return Symbol(e.name, k_new), shift
 
 
+def _edge_sheets(e: CircleEdge) -> tuple[Symbol, ...]:
+    """The generators on edge e, in symbol order.
+
+    Inner products across edges vanish, so these are the only generators
+    that pair nonzero with a vector supported on e.
+    """
+    return tuple(Symbol(e.name, k) for k in range(1, e.p + 1))
+
+
 @dataclass(frozen=True)
 class BasisReport:
     passed: bool
@@ -189,16 +197,16 @@ def verify_basis(g: CircleGraph, max_exponent: int | None = None) -> BasisReport
     if max_exponent is None:
         max_exponent = 2 * max(e.p for e in g.edges)
     syms = g.symbols()
-    basis = [basis_vector(g, s) for s in syms]
+    basis = {s: basis_vector(g, s) for s in syms}
     failures: list[str] = []
     ortho = 0
-    for i, si in enumerate(syms):
+    for si in syms:
         ei = g.edge_named(si.edge)
-        for j, sj in enumerate(syms):
+        for sj in syms:
             ortho += 1
-            fam = inner(basis[i], basis[j])
+            fam = inner(basis[si], basis[sj])
             for v, poly in fam.items():
-                want = LaurentPoly.one(v) if (i == j and v == ei.source) else LaurentPoly.zero(v)
+                want = LaurentPoly.one(v) if (si == sj and v == ei.source) else LaurentPoly.zero(v)
                 if poly != want:
                     failures.append(
                         f"inner({si}, {sj}) at vertex {v!r}: got {poly}, want {want}"
@@ -209,9 +217,8 @@ def verify_basis(g: CircleGraph, max_exponent: int | None = None) -> BasisReport
             recon += 1
             eta = monomial_vector(g, e.name, m, normalized=True)
             total = BimoduleVector.zero(g)
-            for i, si in enumerate(syms):
-                coeff = inner(basis[i], eta)[g.edge_named(si.edge).source]
-                total = total + basis[i].act_right(coeff)
+            for s in _edge_sheets(e):
+                total = total + basis[s].act_right(inner(basis[s], eta)[e.source])
             if total != eta:
                 failures.append(f"reconstruction failed for z^{m} on edge {e.name!r}")
     return BasisReport(not failures, ortho, recon, tuple(failures))
@@ -338,9 +345,7 @@ class LaurentMatrix:
             for sj in g.symbols_into(poly.vertex):
                 e = g.edge_named(sj.edge)
                 moved = basis[sj].act_left(poly)
-                # cross-edge inner products vanish: only symbols on the
-                # same edge can produce a nonzero block entry
-                for si in (Symbol(e.name, k) for k in range(1, e.p + 1)):
+                for si in _edge_sheets(e):
                     val = inner(basis[si], moved)[e.source]
                     if val.is_zero():
                         continue

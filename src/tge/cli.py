@@ -176,10 +176,7 @@ def _loop_csv(table) -> str:
     buf.write("k,L_k,a_k\n")
     for e in table.entries:
         count = "" if e.loop_count is None else e.loop_count
-        if e.loop_count is not None and e.loop_count > 0:
-            rate = f"{math.log(e.loop_count) / e.k:.12g}"
-        else:
-            rate = ""
+        rate = "" if e.log_rate is None else f"{e.log_rate:.12g}"
         buf.write(f"{e.k},{count},{rate}\n")
     return buf.getvalue()
 
@@ -188,11 +185,6 @@ def cmd_loops(args, g: CircleGraph, digest: str):
     table = loop_table(g, args.kmax, cap=args.cap)
     rows = []
     for e in table.entries:
-        rate = (
-            math.log(e.loop_count) / e.k
-            if e.loop_count is not None and e.loop_count > 0
-            else None
-        )
         rows.append(
             {
                 "k": e.k,
@@ -200,7 +192,7 @@ def cmd_loops(args, g: CircleGraph, digest: str):
                 "periodic_point_count": e.loop_count,
                 "formula_count": e.formula_count,
                 "degenerate_words": [list(w) for w in e.degenerate_words],
-                "log_rate": rate,
+                "log_rate": e.log_rate,
                 "sandwich": {
                     "lower": e.sandwich_lower,
                     "upper": e.sandwich_upper,

@@ -135,12 +135,7 @@ def loop_entropy_estimate(g: CircleGraph, k_max: int = DEFAULT_KMAX,
                 f"closed word {'.'.join(word)} has equal degree and winding "
                 "products; loop counts at this length are infinite",
             )
-    seq: list[tuple[int, float | None]] = []
-    for e in table.entries:
-        if e.loop_count is None or e.loop_count == 0:
-            seq.append((e.k, None))
-        else:
-            seq.append((e.k, math.log(e.loop_count) / e.k))
+    seq = [(e.k, e.log_rate) for e in table.entries]
     lo_k = max(1, math.ceil(2 * k_max / 3))
     window_vals = [a for k, a in seq[lo_k - 1:] if a is not None]
     if window_vals:

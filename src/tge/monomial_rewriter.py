@@ -82,22 +82,10 @@ class MonomialTerm:
         Only meaningful on terms produced by normalize, which always carry
         exactly one middle function and coefficient one.
         """
-        i = 0
-        alpha = []
-        while i < len(self.atoms) and self.atoms[i][0] == "S":
-            alpha.append(self.atoms[i][1])
-            i += 1
-        if i == len(self.atoms) or self.atoms[i][0] != "fn":
-            raise ValueError("term is not in normal shape (no explicit middle)")
-        mid = self.atoms[i][1]
-        i += 1
-        star = []
-        while i < len(self.atoms) and self.atoms[i][0] == "S*":
-            star.append(self.atoms[i][1])
-            i += 1
-        if i != len(self.atoms) or self.coeff != GR_ONE:
+        parts = _split_shaped(self.atoms)
+        if parts is None or parts[1] is None or self.coeff != GR_ONE:
             raise ValueError("term is not in normal shape")
-        return tuple(alpha), mid, tuple(reversed(star))
+        return parts
 
 
 @dataclass(frozen=True)
@@ -175,37 +163,19 @@ def _reduce_term(g: CircleGraph, coeff: GaussianRational, atoms: list,
             atoms[i:i + 2] = [("fn", LaurentPoly.one(e.source))]
             i = max(i - 1, 0)
             continue
-        if ka == "fn" and kb == "S":
-            e = g.edge_named(pb.edge)
-            if pa.is_zero() or pa.vertex != e.range:
+        if (ka, kb) in (("fn", "S"), ("S*", "fn")):
+            # S*(x) f is (f* S(x))*: push the monomials of f through S(x)
+            # with exponents mirrored by sign, generator kept on its side
+            sign, f, (kind, sym) = (1, pa, atoms[i + 1]) if kb == "S" else (-1, pb, atoms[i])
+            e = g.edge_named(sym.edge)
+            if f.is_zero() or f.vertex != e.range:
                 return None
             branches = []
-            for n, c in pa.terms:
-                moved = act_left_monomial(g, pa.vertex, n, pb)
-                sym2, shift = moved
-                branches.append(
-                    atoms[:i]
-                    + [("S", sym2), ("fn", LaurentPoly.monomial(e.source, shift, c))]
-                    + atoms[i + 2:]
-                )
-            atoms = branches[0]
-            for extra in branches[1:]:
-                pending.append((coeff, extra))
-            i = max(i - 1, 0)
-            continue
-        if ka == "S*" and kb == "fn":
-            e = g.edge_named(pa.edge)
-            if pb.is_zero() or pb.vertex != e.range:
-                return None
-            branches = []
-            for n, c in pb.terms:
-                moved = act_left_monomial(g, pb.vertex, -n, pa)
-                sym2, shift = moved
-                branches.append(
-                    atoms[:i]
-                    + [("fn", LaurentPoly.monomial(e.source, -shift, c)), ("S*", sym2)]
-                    + atoms[i + 2:]
-                )
+            for n, c in f.terms:
+                sym2, shift = act_left_monomial(g, f.vertex, sign * n, sym)
+                moved = ("fn", LaurentPoly.monomial(e.source, sign * shift, c))
+                pushed = [(kind, sym2), moved] if sign > 0 else [moved, (kind, sym2)]
+                branches.append(atoms[:i] + pushed + atoms[i + 2:])
             atoms = branches[0]
             for extra in branches[1:]:
                 pending.append((coeff, extra))
@@ -245,28 +215,34 @@ def _reduce_term(g: CircleGraph, coeff: GaussianRational, atoms: list,
     return coeff, atoms
 
 
+def _split_shaped(atoms) -> tuple[tuple[Symbol, ...], LaurentPoly | None,
+                                  tuple[Symbol, ...]] | None:
+    """Read atoms as S_alpha . [f] . S_beta* with beta in word order.
+
+    The middle function is optional; None when the atoms have another shape.
+    """
+    i = 0
+    while i < len(atoms) and atoms[i][0] == "S":
+        i += 1
+    alpha = tuple(s for _kind, s in atoms[:i])
+    mid = None
+    if i < len(atoms) and atoms[i][0] == "fn":
+        mid = atoms[i][1]
+        i += 1
+    if any(kind != "S*" for kind, _s in atoms[i:]):
+        return None
+    return alpha, mid, tuple(s for _kind, s in reversed(atoms[i:]))
+
+
 def _shape_cells(g: CircleGraph, coeff: GaussianRational, atoms: list,
                  cells: dict) -> None:
     """File one shaped term into the (alpha, beta, vertex) -> poly map."""
     if not coeff:
         return
-    i = 0
-    alpha = []
-    while i < len(atoms) and atoms[i][0] == "S":
-        alpha.append(atoms[i][1])
-        i += 1
-    mid = None
-    if i < len(atoms) and atoms[i][0] == "fn":
-        mid = atoms[i][1]
-        i += 1
-    star = []
-    while i < len(atoms) and atoms[i][0] == "S*":
-        star.append(atoms[i][1])
-        i += 1
-    if i != len(atoms):
+    parts = _split_shaped(atoms)
+    if parts is None:
         raise AssertionError(f"unshaped atoms survived reduction: {atoms!r}")
-    alpha = tuple(alpha)
-    beta = tuple(reversed(star))
+    alpha, mid, beta = parts
     if mid is None:
         if alpha and beta:
             va = g.edge_named(alpha[-1].edge).source

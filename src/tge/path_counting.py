@@ -25,6 +25,7 @@ them.  The word enumerators in graph_core stay as independent oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -202,6 +203,13 @@ class LoopCountEntry:
         if self.loop_count is None:
             return None
         return self.sandwich_lower <= self.loop_count <= self.sandwich_upper
+
+    @property
+    def log_rate(self) -> float | None:
+        """log(L_k) / k; None when the count is degenerate or zero."""
+        if not self.loop_count:
+            return None
+        return math.log(self.loop_count) / self.k
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ Claims covered here:
 - the closed form for a monomial acting on a generator matches the action
 - the left action is adjointable and the inner product is right-linear
 - flag mismatches raise instead of losing normalization factors
-- verify_basis passes on every fixture graph and detects a dropped generator
+- verify_basis passes on every fixture graph, detects a dropped generator
+  and pairs each test vector only with its own edge's generators
 - admissible symbol words count via symbol-adjacency powers
 - Laurent matrices enforce localization, form a *-algebra, and the
   one-level embedding is an injective unital *-homomorphism on blocks
@@ -162,7 +163,27 @@ def test_verify_basis_on_all_fixtures():
         rep = verify_basis(g)
         assert rep.passed, (name, rep.failures)
         assert rep.orthogonality_checks == sum(e.p for e in g.edges) ** 2
+        assert rep.reconstruction_checks == len(g.edges) * (4 * max(e.p for e in g.edges) + 1)
         assert not rep.failures
+
+
+def test_verify_basis_pairs_only_same_edge_sheets(two_loops, monkeypatch):
+    # S^2 orthogonality pairs, then each of the 2M+1 test vectors z^m on
+    # an edge pairs only with that edge's own sheets: (2M+1) * S in all
+    import tge.bimodule_engine as be
+
+    calls = []
+    real_inner = be.inner
+
+    def counting_inner(x, y):
+        calls.append(1)
+        return real_inner(x, y)
+
+    monkeypatch.setattr(be, "inner", counting_inner)
+    assert verify_basis(two_loops).passed
+    s = len(two_loops.symbols())
+    m = 2 * max(e.p for e in two_loops.edges)
+    assert len(calls) == s * s + (2 * m + 1) * s == 36
 
 
 def test_dropped_generator_breaks_reconstruction(two_loops):

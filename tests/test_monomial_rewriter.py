@@ -68,6 +68,12 @@ def test_rewrite_known_images(two_loops):
     assert _norm_str(two_loops, "S*(e1,1)*S(e1,1)") == "u(v)^0"
     assert _norm_str(two_loops, "u(v)*S(e1,1)") == "S(e1,2)"
     assert _norm_str(two_loops, "u(v)*S(e1,2)") == "S(e1,1)*u(v)"
+    # the mirrored rule S*(x) f = (f* S(x))*
+    assert _norm_str(two_loops, "S*(e1,1)*u(v)") == "u(v)*S*(e1,2)"
+    assert _norm_str(two_loops, "S*(e1,2)*u(v)") == "S*(e1,1)"
+    assert _norm_str(two_loops, "S*(e2,1)*u(v)") == "u(v)^3*S*(e2,1)"
+    assert _norm_str(two_loops, "S*(e1,1)*u*(v)") == "S*(e1,2)"
+    assert _norm_str(two_loops, "S*(e2,1)*u(v)^-1") == "u(v)^-3*S*(e2,1)"
     assert _norm_str(two_loops, "1/2 + 1/2") == "u(v)^0"
     diff = "S(e1,1)*S*(e1,2)*S(e1,2)*S*(e1,1) - S(e1,1)*S*(e1,1)"
     assert _norm_str(two_loops, diff) == "0"
