@@ -6,9 +6,11 @@ stderr; stdout carries nothing but the report, so outputs are safe to
 pipe and byte-stable across runs.  Machine-readable reports carry
 "schema": 1, the sha256 of the graph file bytes, and the tool version.
 
-Exit codes: 0 success; 2 I/O or configuration trouble; 3 unparseable
-graph or expression; 4 validation or resource-limit failures; 5 a loop
-family with a continuum of members where a finite count was required.
+Exit codes: 0 success; 2 I/O or configuration trouble (a flag the
+subcommand does not take included); 3 unparseable graph or expression;
+4 an invalid graph, more than --cap degenerate words at one length in
+loops, or radius non-convergence; 5 a loop family with a continuum of
+members where a finite count was required.
 """
 
 from __future__ import annotations
@@ -62,28 +64,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, kmax: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument("graph", help="path to a graph description JSON file")
-        if kmax:
+        if "kmax" in flags:
             p.add_argument(
                 "--kmax",
                 type=int,
                 default=DEFAULT_KMAX,
                 help="largest word length to tabulate (default %(default)s)",
             )
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=DEFAULT_TOL,
-            help="relative tolerance for radius iteration (default %(default)s)",
-        )
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=DEFAULT_WORD_CAP,
-            help="most closed words allowed at any one word length "
-            "(default %(default)s)",
-        )
+        if "tol" in flags:
+            p.add_argument(
+                "--tol",
+                type=float,
+                default=DEFAULT_TOL,
+                help="relative tolerance for radius iteration (default %(default)s)",
+            )
+        if "cap" in flags:
+            p.add_argument(
+                "--cap",
+                type=int,
+                default=DEFAULT_WORD_CAP,
+                help="most degenerate words listed at any one word length "
+                "(default %(default)s)",
+            )
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument(
             "--format",
@@ -92,13 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="report format (default %(default)s)",
         )
 
-    common(sub.add_parser("analyze", help="full growth-rate report"))
-    common(sub.add_parser("loops", help="loop-count table"))
-    common(sub.add_parser("conjecture", help="loop rate vs matrix target"))
-    common(sub.add_parser("verify-basis", help="check the standard generators"), kmax=False)
-    common(sub.add_parser("spectra", help="weight matrices and their radii"), kmax=False)
+    common(sub.add_parser("analyze", help="full growth-rate report"), "kmax", "tol")
+    common(sub.add_parser("loops", help="loop-count table"), "kmax", "cap")
+    common(sub.add_parser("conjecture", help="loop rate vs matrix target"), "kmax", "tol")
+    common(sub.add_parser("verify-basis", help="check the standard generators"))
+    common(sub.add_parser("spectra", help="weight matrices and their radii"), "tol")
     rew = sub.add_parser("rewrite", help="normalize a generator expression")
-    common(rew, kmax=False)
+    common(rew)
     rew.add_argument(
         "-e",
         "--expression",
@@ -161,7 +165,7 @@ def _matrix_doc(m) -> dict:
 
 
 def cmd_analyze(args, g: CircleGraph, digest: str):
-    report = analyze(g, k_max=args.kmax, tol=args.tol, cap=args.cap)
+    report = analyze(g, k_max=args.kmax, tol=args.tol)
     if args.format == "csv":
         return _loop_csv(report.table)
     body = report.to_json_dict()
@@ -221,7 +225,7 @@ def cmd_loops(args, g: CircleGraph, digest: str):
 
 
 def cmd_conjecture(args, g: CircleGraph, digest: str):
-    v = conjecture_check(g, k_max=args.kmax, tol=args.tol, cap=args.cap)
+    v = conjecture_check(g, k_max=args.kmax, tol=args.tol)
     body = {
         "verdict": v.verdict,
         "estimate": v.estimate,
@@ -339,10 +343,12 @@ def main(argv: list[str] | None = None) -> int:
         kmax = getattr(args, "kmax", None)
         if kmax is not None and kmax < 1:
             raise OSError(f"--kmax must be >= 1, got {kmax}")
-        if not 0 < args.tol < 1:
-            raise OSError(f"--tol must lie strictly between 0 and 1, got {args.tol}")
-        if args.cap < 1:
-            raise OSError(f"--cap must be >= 1, got {args.cap}")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not 0 < tol < 1:
+            raise OSError(f"--tol must lie strictly between 0 and 1, got {tol}")
+        cap = getattr(args, "cap", None)
+        if cap is not None and cap < 1:
+            raise OSError(f"--cap must be >= 1, got {cap}")
         g, digest = _load_graph(args.graph)
         payload = _HANDLERS[args.command](args, g, digest)
         _emit(payload, args.out)

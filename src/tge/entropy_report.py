@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateLoopError
-from .graph_core import DEFAULT_WORD_CAP, CircleGraph
+from .graph_core import CircleGraph
 from .exact_matrix import (
     DEFAULT_TOL,
     ExactMatrix,
@@ -30,9 +30,9 @@ from .exact_matrix import (
     strong_components,
 )
 from .path_counting import (
+    ClosedWordTables,
     LoopCountTable,
     covering_matrix,
-    loop_table,
     symbol_matrix,
     winding_matrix,
     winding_matrix_abs,
@@ -118,23 +118,25 @@ class LoopEntropyEstimate:
     table: LoopCountTable = field(repr=False)
 
 
-def loop_entropy_estimate(g: CircleGraph, k_max: int = DEFAULT_KMAX,
-                          cap: int = DEFAULT_WORD_CAP) -> LoopEntropyEstimate:
+def loop_entropy_estimate(g: CircleGraph, k_max: int = DEFAULT_KMAX) -> LoopEntropyEstimate:
     """Extract the loop rate; degenerate words poison it and raise.
 
     A degenerate closed word carries a continuum of loops, so every count
     at its length is infinite and a finite rate estimate would be
-    fiction.  Use loop_table directly to inspect such graphs.
+    fiction.  The transfer-matrix counts find the first degenerate length;
+    the error names its first word and no other word is walked.  Use
+    loop_table directly to inspect such graphs.
     """
-    table = loop_table(g, k_max, cap=cap)
-    for e in table.entries:
-        if e.degenerate_words:
-            word = e.degenerate_words[0]
+    tables = ClosedWordTables(g)
+    for k in range(1, k_max + 1):
+        if tables.totals(k)[0]:
+            word, _ = next(tables.degenerate_words(k))
             raise DegenerateLoopError(
                 word,
                 f"closed word {'.'.join(word)} has equal degree and winding "
                 "products; loop counts at this length are infinite",
             )
+    table = tables.table(k_max)
     seq = [(e.k, e.log_rate) for e in table.entries]
     lo_k = max(1, math.ceil(2 * k_max / 3))
     window_vals = [a for k, a in seq[lo_k - 1:] if a is not None]
@@ -161,10 +163,9 @@ def loop_entropy_estimate(g: CircleGraph, k_max: int = DEFAULT_KMAX,
     )
 
 
-def ht_psi_lower(g: CircleGraph, k_max: int = DEFAULT_KMAX,
-                 cap: int = DEFAULT_WORD_CAP) -> float | None:
+def ht_psi_lower(g: CircleGraph, k_max: int = DEFAULT_KMAX) -> float | None:
     """Loop-rate lower bound for the second shift's entropy."""
-    return loop_entropy_estimate(g, k_max, cap=cap).estimate
+    return loop_entropy_estimate(g, k_max).estimate
 
 
 @dataclass(frozen=True)
@@ -189,8 +190,7 @@ class ConjectureVerdict:
 
 
 def conjecture_check(g: CircleGraph, k_max: int = DEFAULT_KMAX,
-                     tol: float = DEFAULT_TOL,
-                     cap: int = DEFAULT_WORD_CAP) -> ConjectureVerdict:
+                     tol: float = DEFAULT_TOL) -> ConjectureVerdict:
     """Compare the loop rate with log max(rho_covering, rho_winding_abs).
 
     Consistent when the gap is within max(VERDICT_SLACK, sandwich width);
@@ -212,7 +212,7 @@ def conjecture_check(g: CircleGraph, k_max: int = DEFAULT_KMAX,
             "signed winding matrix has negative entries; its radius is not "
             "estimated here and the matrix is recorded instead"
         )
-    est = loop_entropy_estimate(g, k_max, cap=cap)
+    est = loop_entropy_estimate(g, k_max)
     target = _log(max(rho_p, rho_qa))
     # every edge has p >= 1, so P has the support of the edge-count matrix
     comp = strong_components(radii.P)
@@ -340,8 +340,7 @@ def _num(x: float | None) -> float | None:
     return x
 
 
-def analyze(g: CircleGraph, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL,
-            cap: int = DEFAULT_WORD_CAP) -> EntropyReport:
+def analyze(g: CircleGraph, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL) -> EntropyReport:
     """Full growth-rate report for one validated graph.
 
     The verdict computes the radii and then one loop table, kept on the
@@ -349,7 +348,7 @@ def analyze(g: CircleGraph, k_max: int = DEFAULT_KMAX, tol: float = DEFAULT_TOL,
     the transposed graph's absolute winding matrix is P^T (proofs in
     vertex_radii), so ht_phi = h_b_transpose = log rho(P).
     """
-    verdict = conjecture_check(g, k_max=k_max, tol=tol, cap=cap)
+    verdict = conjecture_check(g, k_max=k_max, tol=tol)
     est = verdict.loop_estimate
     h_p = _log(verdict.rho_p)
     notes = [

@@ -158,9 +158,6 @@ class CircleGraph:
         """Sheet symbols of the edges whose range is vertex, in symbol order."""
         return self._index.symbols_into.get(vertex, ())
 
-    def symbol_graph(self) -> "SymbolGraph":
-        return SymbolGraph.from_graph(self)
-
 
 @dataclass(frozen=True)
 class DiscreteWord:
@@ -192,38 +189,6 @@ class DiscreteWord:
 
     def range(self, g: CircleGraph) -> str:
         return g.edge_named(self.edges[0]).range
-
-
-@dataclass(frozen=True)
-class SymbolGraph:
-    """Finite 0-1 transition structure on sheet symbols.
-
-    Symbol (e, k) may be followed by (f, l) exactly when s(e) = r(f); the
-    sheet indices k, l place no constraint.
-    """
-
-    symbols: tuple[Symbol, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_graph(cls, g: CircleGraph) -> "SymbolGraph":
-        g.require_valid()
-        syms = g.symbols()
-        ranges = [g.edge_named(b.edge).range for b in syms]
-        rows = []
-        for a in syms:
-            source = g.edge_named(a.edge).source
-            rows.append(tuple(1 if r == source else 0 for r in ranges))
-        return cls(syms, tuple(rows))
-
-    def index(self, sym: Symbol) -> int:
-        try:
-            return self.symbols.index(sym)
-        except ValueError:
-            raise KeyError(f"no symbol {sym}") from None
-
-    def admits(self, a: Symbol, b: Symbol) -> bool:
-        return bool(self.adjacency[self.index(a)][self.index(b)])
 
 
 def walk_words(first, successors, k: int) -> Iterator[tuple]:

@@ -18,9 +18,10 @@ commute, so a word's weight depends only on its edge multiset: one length
 at a time, the words of each start vertex are grouped into states
 (current source, prod p, prod q) with a multiplicity.  A length has at
 most n^2 * C(k+E-1, E-1) states for n vertices and E edges, so tables
-grow polynomially in k where the E^k words grow exponentially.  Only
-degenerate words are listed one by one, and only at the lengths that have
-them.  The word enumerators in graph_core stay as independent oracles.
+grow polynomially in k where the E^k words grow exponentially.  The
+states also count the degenerate words, so only loop_table lists them one
+by one, and a report that must refuse them walks to the first one alone.
+The word enumerators in graph_core stay as independent oracles.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .graph_core import (
     DEFAULT_WORD_CAP,
     CircleGraph,
     DiscreteWord,
-    SymbolGraph,
     iter_word_products,
 )
 
@@ -70,15 +70,13 @@ def _vertex_matrix(g: CircleGraph, weight) -> ExactMatrix:
     return ExactMatrix.from_rows(rows, labels=g.vertices)
 
 
-def mat_Lambda(sg: SymbolGraph) -> ExactMatrix:
-    """0/1 adjacency of sheet symbols: (e, k) may precede (f, l) iff s(e) = r(f)."""
-    labels = tuple(f"{s.edge}:{s.k}" for s in sg.symbols)
-    return ExactMatrix.from_rows([list(r) for r in sg.adjacency], labels=labels)
-
-
 def symbol_matrix(g: CircleGraph) -> ExactMatrix:
-    """Symbol adjacency of a base graph; shorthand for mat_Lambda(g.symbol_graph())."""
-    return mat_Lambda(g.symbol_graph())
+    """0/1 adjacency of sheet symbols: (e, k) may precede (f, l) iff s(e) = r(f)."""
+    g.require_valid()
+    syms = g.symbols()
+    ranges = [g.edge_named(s.edge).range for s in syms]
+    rows = [[int(r == g.edge_named(a.edge).source) for r in ranges] for a in syms]
+    return ExactMatrix.from_rows(rows, labels=tuple(f"{s.edge}:{s.k}" for s in syms))
 
 
 # Compact matrix names, matching the report vocabulary of the other modules.
@@ -251,7 +249,8 @@ class ClosedWordTables:
     m+1 extends each word through the edges whose range is its current
     source, and the closed words of length k are the layer-k states whose
     current source is back at the start.  Layers are built on demand and
-    kept, because listing degenerate words reads the shorter ones.
+    kept: a degeneracy scan and the table that follows it read the same
+    layers, and listing degenerate words reads the shorter ones.
     """
 
     def __init__(self, g: CircleGraph):
@@ -259,6 +258,7 @@ class ClosedWordTables:
         self.graph = g
         self.layers = [{(v, v): {(1, 1): 1} for v in g.vertices}]
         self._suffix_cache: dict = {}
+        self._totals: dict = {}
 
     def layer(self, m: int) -> dict:
         while len(self.layers) <= m:
@@ -273,92 +273,106 @@ class ClosedWordTables:
             self.layers.append(nxt)
         return self.layers[m]
 
-    def totals(self, k: int) -> tuple[int, int, int, int]:
-        """Closed words of length k: (count, degenerate count,
-        sum |prod p - prod q| over the others, sum |prod p - |prod q||)."""
-        layer = self.layer(k)
-        words = degenerate = loops = formula = 0
-        for v in self.graph.vertices:
-            for (pp, qq), mult in layer.get((v, v), {}).items():
-                words += mult
-                if pp == qq:
-                    degenerate += mult
-                else:
-                    loops += mult * abs(pp - qq)
-                formula += mult * abs(pp - abs(qq))
-        return words, degenerate, loops, formula
+    def totals(self, k: int) -> tuple[int, int, int]:
+        """Closed words of length k: (degenerate count, sum |prod p - prod q|
+        over the others, sum |prod p - |prod q||); computed once per length."""
+        if k not in self._totals:
+            layer = self.layer(k)
+            degenerate = loops = formula = 0
+            for v in self.graph.vertices:
+                for (pp, qq), mult in layer.get((v, v), {}).items():
+                    if pp == qq:
+                        degenerate += mult
+                    else:
+                        loops += mult * abs(pp - qq)
+                    formula += mult * abs(pp - abs(qq))
+            self._totals[k] = (degenerate, loops, formula)
+        return self._totals[k]
 
-    def _suffixes(self, m: int, cur: str, end: str) -> tuple[set, int]:
-        """Ratios prod q / prod p of the m-edge walks from source cur to
-        source end, and the number of such walks."""
+    def _suffixes(self, m: int, cur: str, end: str) -> set:
+        """Ratios prod q / prod p of the m-edge walks from source cur to source end."""
         key = (m, cur, end)
         if key not in self._suffix_cache:
             states = self.layer(m).get((cur, end), {})
-            self._suffix_cache[key] = (
-                {Fraction(qq, pp) for pp, qq in states},
-                sum(states.values()),
-            )
+            self._suffix_cache[key] = {Fraction(qq, pp) for pp, qq in states}
         return self._suffix_cache[key]
 
-    def degenerate_words(self, k: int) -> Iterator[tuple[int, tuple[str, ...], int]]:
-        """Yield (rank, word, prod p) for the degenerate closed words of length k.
+    def degenerate_words(self, k: int) -> Iterator[tuple[tuple[str, ...], int]]:
+        """Yield (word, prod p) for the degenerate closed words of length k.
 
         Words come in enumeration order: first edge in edge order, each
         later edge among those whose range is the current source, in edge
-        order.  rank is the word's 1-based position among all closed words
-        of length k.  A prefix is extended only when some suffix brings
+        order.  A prefix is extended only when some suffix brings
         prod p / prod q back to 1, so every branch walked ends in a
         degenerate word.
         """
         prefix: list[str] = []
-        rank = 0
 
         def walk(choices, start, pp, qq, m):
-            nonlocal rank
             for e in choices:
                 end = e.range if start is None else start
                 p2, q2 = pp * e.p, qq * e.q
-                ratios, count = self._suffixes(m - 1, e.source, end)
-                if Fraction(p2, q2) not in ratios:
-                    rank += count
+                if Fraction(p2, q2) not in self._suffixes(m - 1, e.source, end):
                     continue
                 prefix.append(e.name)
                 if m == 1:
-                    rank += 1
-                    yield rank, tuple(prefix), p2
+                    yield tuple(prefix), p2
                 else:
                     yield from walk(self.graph.edges_into(e.source), end, p2, q2, m - 1)
                 prefix.pop()
 
         return walk(self.graph.edges, None, 1, 1, k)
 
+    def table(self, k_max: int) -> LoopCountTable:
+        """Loop totals, every degenerate word and the trace bounds for k = 1 .. k_max."""
+        if k_max < 1:
+            raise ValueError("k_max must be positive")
+        p_mat = covering_matrix(self.graph)
+        qa_mat = winding_matrix_abs(self.graph)
+        p_pow = p_mat
+        qa_pow = qa_mat
+        entries = []
+        for k in range(1, k_max + 1):
+            degenerate, total, formula = self.totals(k)
+            bad = tuple(w for w, _ in self.degenerate_words(k)) if degenerate else ()
+            entries.append(
+                LoopCountEntry(
+                    k=k,
+                    loop_count=None if degenerate else total,
+                    formula_count=formula,
+                    degenerate_words=bad,
+                    trace_p=p_pow.trace(),
+                    trace_q_abs=qa_pow.trace(),
+                )
+            )
+            if k < k_max:
+                p_pow = p_pow @ p_mat
+                qa_pow = qa_pow @ qa_mat
+        return LoopCountTable(
+            entries=tuple(entries),
+            has_negative_winding=any(e.q < 0 for e in self.graph.edges),
+        )
 
-def _cap_error(cap: int, k: int) -> CapExceededError:
-    return CapExceededError(f"more than {cap} words of length {k}")
 
-
-def loop_count(g: CircleGraph, k: int, cap: int = DEFAULT_WORD_CAP) -> int:
+def loop_count(g: CircleGraph, k: int) -> int:
     """Total loops over all closed words of length k.
 
-    Raises DegenerateLoopError on the first word whose loop family is a
-    continuum, naming the word: a finite count would be a lie.  More than
-    cap closed words raise CapExceededError, unless a degenerate word
-    comes within the first cap.
+    Raises DegenerateLoopError when some word's loop family is a
+    continuum, naming the first such word in word order: a finite count
+    would be a lie.  The transfer-matrix count decides that, so no other
+    word is walked.
     """
     if k < 1:
         raise ValueError("length must be positive")
     tables = ClosedWordTables(g)
-    words, degenerate, total, _ = tables.totals(k)
+    degenerate, total, _ = tables.totals(k)
     if degenerate:
-        rank, word, pp = next(tables.degenerate_words(k))
-        if rank <= cap:
-            raise DegenerateLoopError(
-                word,
-                f"closed word {'.'.join(word)} has equal degree and winding "
-                f"products ({pp}); its loops form a continuum",
-            )
-    if words > cap:
-        raise _cap_error(cap, k)
+        word, pp = next(tables.degenerate_words(k))
+        raise DegenerateLoopError(
+            word,
+            f"closed word {'.'.join(word)} has equal degree and winding "
+            f"products ({pp}); its loops form a continuum",
+        )
     return total
 
 
@@ -378,41 +392,17 @@ def word_weights(g: CircleGraph, k: int, cap: int = DEFAULT_WORD_CAP) -> list[Wo
 def loop_table(g: CircleGraph, k_max: int, cap: int = DEFAULT_WORD_CAP) -> LoopCountTable:
     """Tabulate loop totals, degenerate words and trace bounds up to k_max.
 
-    Degenerate words are recorded rather than raised so the table can
+    Degenerate words are listed rather than raised so the table can
     still report the lengths that remain meaningful; the affected lengths
-    carry loop_count None.  The first length with more than cap closed
-    words raises CapExceededError.
+    carry loop_count None.  cap bounds the degenerate words listed at one
+    length: the first length with more raises CapExceededError, decided
+    from the transfer-matrix counts before any word is walked.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
     tables = ClosedWordTables(g)
-    p_mat = covering_matrix(g)
-    qa_mat = winding_matrix_abs(g)
-    p_pow = p_mat
-    qa_pow = qa_mat
-    entries = []
     for k in range(1, k_max + 1):
-        words, degenerate, total, formula = tables.totals(k)
-        if words > cap:
-            raise _cap_error(cap, k)
-        bad = tuple(w for _, w, _ in tables.degenerate_words(k)) if degenerate else ()
-        entries.append(
-            LoopCountEntry(
-                k=k,
-                loop_count=None if degenerate else total,
-                formula_count=formula,
-                degenerate_words=bad,
-                trace_p=p_pow.trace(),
-                trace_q_abs=qa_pow.trace(),
-            )
-        )
-        if k < k_max:
-            p_pow = p_pow @ p_mat
-            qa_pow = qa_pow @ qa_mat
-    return LoopCountTable(
-        entries=tuple(entries),
-        has_negative_winding=any(e.q < 0 for e in g.edges),
-    )
+        if tables.totals(k)[0] > cap:
+            raise CapExceededError(f"more than {cap} degenerate words of length {k}")
+    return tables.table(k_max)
 
 
 def torus_solutions_bruteforce(m: ExactMatrix, cap: int = 10**7) -> int:

@@ -11,7 +11,8 @@ Claims covered here:
   radii, "inconclusive" when the radii coincide (sandwich degenerates),
   and records components, signed matrices, and explanatory notes
 - growth rates are weakly monotone under adding an edge
-- analyze builds one loop table and reuses the verdict's radii
+- analyze builds one transfer-matrix count and one loop table and reuses
+  the verdict's radii
 - reports take rho(Lambda) and the transpose rate from rho(P), within
   1e-9 of the dense oracles, and iterate on vertex matrices only
 - the JSON rendering uses the documented field names
@@ -46,7 +47,12 @@ from tge.entropy_report import (
 from tge.errors import DegenerateLoopError
 from tge.exact_matrix import spectral_radius
 from tge.graph_core import CircleGraph
-from tge.path_counting import covering_matrix, symbol_matrix, winding_matrix
+from tge.path_counting import (
+    ClosedWordTables,
+    covering_matrix,
+    symbol_matrix,
+    winding_matrix,
+)
 
 
 def test_block_rates_known_values(two_loops):
@@ -265,16 +271,22 @@ def test_report_json_field_names(two_loops):
 
 
 def test_analyze_builds_one_loop_table(two_loops, monkeypatch):
-    calls = []
-    real = tge.entropy_report.loop_table
+    built, tabulated = [], []
+    real_init, real_table = ClosedWordTables.__init__, ClosedWordTables.table
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted_init(self, g):
+        built.append(g)
+        real_init(self, g)
 
-    monkeypatch.setattr(tge.entropy_report, "loop_table", counted)
+    def counted_table(self, k_max):
+        tabulated.append(k_max)
+        return real_table(self, k_max)
+
+    monkeypatch.setattr(ClosedWordTables, "__init__", counted_init)
+    monkeypatch.setattr(ClosedWordTables, "table", counted_table)
     report = analyze(two_loops, k_max=6)
-    assert len(calls) == 1
+    assert built == [two_loops]
+    assert tabulated == [6]
     verdict = report.conjecture_verdict
     assert report.table is verdict.loop_estimate.table
     assert report.table.counts() == [3, 13, 57, 245, 973, 4051]

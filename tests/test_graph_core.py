@@ -4,7 +4,7 @@ Covers: every validation rule fires and names its offender; the per-graph
 lookup index and cached validation keep the scan semantics; spec parsing
 rejects malformed shapes; word enumeration agrees with adjacency-matrix
 counts and with filtered products; transposition is an involution that
-swaps degree data; symbol graphs have the predicted shapes.
+swaps degree data; symbol matrices have the predicted shapes.
 """
 
 import itertools
@@ -24,6 +24,7 @@ from tge import (
     enumerate_words,
     load_graph,
     parse_graph_spec,
+    symbol_matrix,
 )
 
 from conftest import random_valid_graph, two_loop_graph, two_cycle_graph, three_cycle_graph
@@ -276,23 +277,23 @@ def test_symbols_count_and_order():
 
 
 def test_symbol_graph_single_loop_is_complete():
-    sg = CircleGraph.single_loop(3, 2).symbol_graph()
-    assert len(sg.symbols) == 3
-    assert all(all(x == 1 for x in row) for row in sg.adjacency)
+    m = symbol_matrix(CircleGraph.single_loop(3, 2))
+    assert m.labels == ("e:1", "e:2", "e:3")
+    assert all(all(x == 1 for x in row) for row in m.entries)
 
 
 def test_symbol_graph_two_cycle_is_permutation():
-    sg = two_cycle_graph().symbol_graph()
-    assert len(sg.symbols) == 2
-    assert sg.adjacency == ((0, 1), (1, 0))
-    assert sg.admits(Symbol("f", 1), Symbol("h", 1))
-    assert not sg.admits(Symbol("f", 1), Symbol("f", 1))
+    m = symbol_matrix(two_cycle_graph())
+    assert m.labels == ("f:1", "h:1")
+    assert m.entries == ((0, 1), (1, 0))
+    assert m.entries[m.label_index("f:1")][m.label_index("h:1")] == 1
+    assert m.entries[m.label_index("f:1")][m.label_index("f:1")] == 0
 
 
 def test_symbol_graph_respects_vertex_structure():
-    sg = three_cycle_graph().symbol_graph()
+    m = symbol_matrix(three_cycle_graph())
     # symbol of edge x (source v1) may be followed only by symbols of the
     # edge ranging at v1, which is z
-    i = sg.index(Symbol("x", 1))
-    follows = [sg.symbols[j] for j, bit in enumerate(sg.adjacency[i]) if bit]
-    assert follows == [Symbol("z", 1), Symbol("z", 2), Symbol("z", 3)]
+    row = m.entries[m.label_index("x:1")]
+    follows = [m.labels[j] for j, bit in enumerate(row) if bit]
+    assert follows == ["z:1", "z:2", "z:3"]

@@ -15,11 +15,15 @@ Claims covered here:
 - loop tables record degenerate words instead of raising, flag negative
   windings and formula discrepancies, and always satisfy the trace sandwich
 - vertex-level traces equal word-product sums (exact cross-check)
+- the symbol matrix has one row per sheet, in edge order, and admits
+  (e, k) before (f, l) exactly when s(e) = r(f)
 - the transfer-matrix loop table equals a table built by enumerating
   every closed word: same counts, same degenerate words in the same
-  order, same cap error at the same length; loop_count raises exactly
-  what word-by-word enumeration raises
-- deep tables agree with the binomial closed form of two-loop graphs
+  order; its cap bounds degenerate words and fires at the first length
+  whose enumerated degenerate count exceeds it; loop_count raises
+  exactly what word-by-word enumeration raises
+- deep tables agree with the binomial closed form of two-loop graphs,
+  past the point where the closed words outnumber the cap
 - the torus brute force rejects singular systems and enforces its cap
 """
 
@@ -39,7 +43,6 @@ from conftest import (
 from tge.errors import CapExceededError, DegenerateLoopError
 from tge.exact_matrix import ExactMatrix, determinant, power_trace
 from tge.graph_core import (
-    DEFAULT_WORD_CAP,
     CircleGraph,
     DiscreteWord,
     enumerate_words,
@@ -56,7 +59,6 @@ from tge.path_counting import (
     loop_count,
     loop_table,
     loop_weight,
-    mat_Lambda,
     mat_P,
     mat_Q,
     mat_Q_abs,
@@ -89,7 +91,17 @@ def test_symbol_matrix_shape(two_loops):
     m = symbol_matrix(two_loops)
     assert m.labels == ("e1:1", "e1:2", "e2:1")
     assert m.entries == ((1, 1, 1),) * 3
-    assert mat_Lambda(two_loops.symbol_graph()).entries == m.entries
+    # on every fixture: one row and column per sheet (e, k), in edge order,
+    # and (e, k) may precede (f, l) exactly when s(e) = r(f)
+    for g in fixture_graphs().values():
+        lam = symbol_matrix(g)
+        sheets = [e for e in g.edges for _ in range(e.p)]
+        assert lam.labels == tuple(
+            f"{e.name}:{k}" for e in g.edges for k in range(1, e.p + 1)
+        )
+        assert lam.entries == tuple(
+            tuple(int(e.source == f.range) for f in sheets) for e in sheets
+        ), g
 
 
 def test_path_counts_known_values(two_loops, single_23):
@@ -254,13 +266,13 @@ def test_mixed_sign_discrepancy_flag():
     assert t.any_discrepancy
 
 
-def enumerated_table(g, k_max, cap=DEFAULT_WORD_CAP):
+def enumerated_table(g, k_max):
     """Loop table built word by word from the closed-word enumerator."""
     q_of = {e.name: e.q for e in g.edges}
     entries = []
     for k in range(1, k_max + 1):
         total, formula, bad = 0, 0, []
-        for word, pp, qq in iter_word_products(g, k, closed=True, cap=cap):
+        for word, pp, qq in iter_word_products(g, k, closed=True):
             formula += abs(pp - math.prod(abs(q_of[n]) for n in word))
             if pp == qq:
                 bad.append(word)
@@ -276,10 +288,10 @@ def enumerated_table(g, k_max, cap=DEFAULT_WORD_CAP):
     return LoopCountTable(tuple(entries), any(e.q < 0 for e in g.edges))
 
 
-def enumerated_loop_count(g, k, cap=DEFAULT_WORD_CAP):
+def enumerated_loop_count(g, k):
     """loop_count by enumeration: stops at the first degenerate word."""
     total = 0
-    for word, pp, qq in iter_word_products(g, k, closed=True, cap=cap):
+    for word, pp, qq in iter_word_products(g, k, closed=True):
         if pp == qq:
             raise DegenerateLoopError(word, f"{'.'.join(word)} ({pp})")
         total += abs(pp - qq)
@@ -316,15 +328,19 @@ def test_loop_table_matches_enumeration_on_random_graphs():
 def test_cap_overflow_matches_enumeration():
     raised = 0
     for g in small_random_graphs(200, 7):
+        expected = enumerated_table(g, 6)
+        assert loop_table(g, 6) == expected, g
+        for k in (3, 5):
+            assert outcome(loop_count, g, k) == outcome(enumerated_loop_count, g, k), (g, k)
         for cap in (5, 40):
+            over = [e.k for e in expected.entries if len(e.degenerate_words) > cap]
             got = outcome(loop_table, g, 6, cap=cap)
-            assert got == outcome(enumerated_table, g, 6, cap=cap), (g, cap)
-            raised += isinstance(got, tuple)
-            for k in (3, 5):
-                assert outcome(loop_count, g, k, cap=cap) == outcome(
-                    enumerated_loop_count, g, k, cap=cap
-                ), (g, k, cap)
-    assert raised >= 100
+            if over:
+                assert got == ("cap", f"more than {cap} degenerate words of length {over[0]}"), g
+                raised += 1
+            else:
+                assert got == expected, (g, cap)
+    assert raised >= 60
 
 
 def test_degenerate_family_words_in_enumeration_order():
@@ -345,19 +361,18 @@ def test_degenerate_family_words_in_enumeration_order():
 
 
 def test_deep_two_loop_table_matches_binomial_closed_form():
-    # 2^23 closed words at k = 23, under the default cap
+    # 2^24 closed words at k = 24, more than the default cap, which
+    # bounds only the degenerate words listed (none here)
     (p1, q1), (p2, q2) = (3, -2), (1, 5)
     g = CircleGraph.build(["v"], [("a", "v", "v", p1, q1), ("b", "v", "v", p2, q2)])
-    table = loop_table(g, 23)
+    table = loop_table(g, 24)
     for e in table.entries:
         k = e.k
         terms = [(math.comb(k, j), p1**j * p2 ** (k - j), q1**j * q2 ** (k - j))
                  for j in range(k + 1)]
         assert e.loop_count == sum(c * abs(pp - qq) for c, pp, qq in terms)
         assert e.formula_count == sum(c * abs(pp - abs(qq)) for c, pp, qq in terms)
-    assert loop_count(g, 23) == table.entry(23).loop_count
-    with pytest.raises(CapExceededError, match="more than 10000000 words of length 24"):
-        loop_table(g, 24)
+    assert loop_count(g, 24) == table.entry(24).loop_count
 
 
 def test_torus_bruteforce_known_values():

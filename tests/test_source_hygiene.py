@@ -5,6 +5,10 @@ The package's __init__.py (whose imports are re-exports) and
 `from __future__ import annotations` are exempt.  A name counts as used
 when it appears as an identifier anywhere in the module, annotations
 included; quoted annotations are parsed for their identifiers too.
+
+The report path imports no oracle: cli.py and entropy_report.py import no
+word enumerator or brute-force solver, and entropy_report.py, which only
+counts, imports neither the word cap nor its error.
 """
 
 import ast
@@ -55,6 +59,28 @@ def test_no_unused_imports_in_package_modules():
     assert len(modules) >= 9
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert unused == [], "imported but never used: " + ", ".join(unused)
+
+
+ORACLES = {"iter_word_products", "enumerate_words", "word_weights",
+           "torus_solutions_bruteforce"}
+REPORT_PATH_BANS = {
+    "cli.py": ORACLES,
+    "entropy_report.py": ORACLES | {"DEFAULT_WORD_CAP", "CapExceededError"},
+}
+
+
+def banned_imports(path: Path, banned: set[str]) -> list[str]:
+    """Imports of a banned name, under any alias."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{path.name}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names if alias.name.rsplit(".", 1)[-1] in banned]
+
+
+def test_report_path_imports_no_oracle_or_word_cap():
+    found = [entry for name, banned in REPORT_PATH_BANS.items()
+             for entry in banned_imports(SRC / name, banned)]
+    assert found == [], "report path imports: " + ", ".join(found)
 
 
 def test_scan_sees_quoted_annotations_and_dotted_imports(tmp_path):
