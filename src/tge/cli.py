@@ -41,9 +41,9 @@ from .errors import (
 )
 from .exact_matrix import DEFAULT_TOL
 from .bimodule_engine import verify_basis
-from .graph_core import DEFAULT_WORD_CAP, CircleGraph, parse_graph_spec
+from .graph_core import CircleGraph, parse_graph_spec
 from .monomial_rewriter import normalize, parse_expression, render_sum
-from .path_counting import loop_table, symbol_matrix
+from .path_counting import DEFAULT_WORD_CAP, loop_table, symbol_matrix
 
 log = logging.getLogger("tge")
 

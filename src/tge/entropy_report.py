@@ -33,7 +33,6 @@ from .path_counting import (
     ClosedWordTables,
     LoopCountTable,
     covering_matrix,
-    symbol_matrix,
     winding_matrix,
     winding_matrix_abs,
 )
@@ -52,16 +51,6 @@ def _log(rho: float) -> float:
 def block_entropy(g: CircleGraph, tol: float = DEFAULT_TOL) -> float:
     """log of the absolute winding matrix's spectral radius (-inf when 0)."""
     return _log(spectral_radius(winding_matrix_abs(g), tol=tol).radius)
-
-
-def block_entropy_transpose(g: CircleGraph, tol: float = DEFAULT_TOL) -> float:
-    """Block entropy computed on the transposed graph; an oracle for log rho(P)."""
-    return block_entropy(g.transpose(), tol=tol)
-
-
-def ht_phi(g: CircleGraph, tol: float = DEFAULT_TOL) -> float:
-    """log rho(Lambda) iterated on the dense symbol matrix; an oracle for log rho(P)."""
-    return _log(spectral_radius(symbol_matrix(g), tol=tol).radius)
 
 
 @dataclass(frozen=True)
@@ -86,7 +75,8 @@ def vertex_radii(g: CircleGraph, tol: float = DEFAULT_TOL) -> VertexRadii:
     Analysis, Thm 1.3.22).  The transposed graph reverses each edge and
     covers with degree |q(e)|, winding +-p(e) times, so its absolute
     winding matrix is P^T as well.  rho_Q_signed is None when Q has a
-    negative entry: power iteration has no business on mixed signs.
+    negative entry: power iteration has no business on mixed signs.  When
+    no winding is negative, Q is |Q| and shares its radius.
     """
     g.require_valid()
     p_mat = covering_matrix(g)
@@ -94,7 +84,10 @@ def vertex_radii(g: CircleGraph, tol: float = DEFAULT_TOL) -> VertexRadii:
     qa_mat = winding_matrix_abs(g)
     rho_p = spectral_radius(p_mat, tol=tol).radius
     rho_qa = spectral_radius(qa_mat, tol=tol).radius
-    rho_q = spectral_radius(q_mat, tol=tol).radius if q_mat.is_nonnegative() else None
+    if q_mat == qa_mat:
+        rho_q = rho_qa
+    else:
+        rho_q = spectral_radius(q_mat, tol=tol).radius if q_mat.is_nonnegative() else None
     return VertexRadii(p_mat, q_mat, qa_mat, rho_p, rho_qa, rho_q)
 
 

@@ -8,6 +8,8 @@ s(e_i) = r(e_{i+1}); the word's source is s(e_k) and its range is r(e_1).
 
 Validation is separate from construction so malformed data can be loaded,
 inspected and reported on rather than rejected at parse time.
+
+walk_words is the one word walker, for oracles and bimodule_engine alike.
 """
 
 from __future__ import annotations
@@ -15,12 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 from typing import Iterator, NamedTuple
 
-from .errors import CapExceededError, GraphFormatError, GraphValidationError
-
-DEFAULT_WORD_CAP = 10**7
+from .errors import GraphFormatError, GraphValidationError
 
 
 class Symbol(NamedTuple):
@@ -159,38 +158,6 @@ class CircleGraph:
         return self._index.symbols_into.get(vertex, ())
 
 
-@dataclass(frozen=True)
-class DiscreteWord:
-    """A finite word of edge names, leftmost edge outermost."""
-
-    edges: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def check_valid(self, g: CircleGraph) -> None:
-        if not self.edges:
-            raise ValueError("empty word")
-        es = [g.edge_named(n) for n in self.edges]
-        for a, b in zip(es, es[1:]):
-            if a.source != b.range:
-                raise ValueError(
-                    f"word breaks at {a.name!r}{b.name!r}: s({a.name})={a.source!r} != r({b.name})={b.range!r}"
-                )
-
-    def is_closed(self, g: CircleGraph) -> bool:
-        self.check_valid(g)
-        first = g.edge_named(self.edges[0])
-        last = g.edge_named(self.edges[-1])
-        return last.source == first.range
-
-    def source(self, g: CircleGraph) -> str:
-        return g.edge_named(self.edges[-1]).source
-
-    def range(self, g: CircleGraph) -> str:
-        return g.edge_named(self.edges[0]).range
-
-
 def walk_words(first, successors, k: int) -> Iterator[tuple]:
     """Every k-letter word a_1 ... a_k with a_1 in first and each a_{i+1} in
     successors(a_i), lexicographic in the orders those iterables give.
@@ -215,32 +182,6 @@ def walk_words(first, successors, k: int) -> Iterator[tuple]:
             stack.pop()
             if prefix:
                 prefix.pop()
-
-
-def enumerate_words(g: CircleGraph, k: int, closed: bool = False,
-                    cap: int = DEFAULT_WORD_CAP) -> list[DiscreteWord]:
-    """All length-k words, lexicographic in the input edge order.
-
-    With closed=True only words whose source equals their range are kept.
-    Raises CapExceededError once more than cap words have been produced.
-    """
-    return [DiscreteWord(w) for w, _, _ in iter_word_products(g, k, closed, cap)]
-
-
-def iter_word_products(g: CircleGraph, k: int, closed: bool = True,
-                       cap: int = DEFAULT_WORD_CAP) -> Iterator[tuple[tuple[str, ...], int, int]]:
-    """Yield (word, product of p, signed product of q) without storing all words."""
-    g.require_valid()
-    if k < 1:
-        raise ValueError(f"word length must be >= 1, got {k}")
-    count = 0
-    for word in walk_words(g.edges, lambda e: g.edges_into(e.source), k):
-        if closed and word[-1].source != word[0].range:
-            continue
-        count += 1
-        if count > cap:
-            raise CapExceededError(f"more than {cap} words of length {k}")
-        yield tuple(e.name for e in word), prod(e.p for e in word), prod(e.q for e in word)
 
 
 def parse_graph_spec(obj) -> CircleGraph:

@@ -1,4 +1,4 @@
-"""Growth counts for circle graphs: path totals, loop weights, torus systems.
+"""Growth counts for circle graphs: path totals and loop tables.
 
 Two weight matrices drive everything.  The covering matrix totals the
 covering degrees p(e) between vertex pairs; the winding matrix totals the
@@ -21,7 +21,9 @@ most n^2 * C(k+E-1, E-1) states for n vertices and E edges, so tables
 grow polynomially in k where the E^k words grow exponentially.  The
 states also count the degenerate words, so only loop_table lists them one
 by one, and a report that must refuse them walks to the first one alone.
-The word enumerators in graph_core stay as independent oracles.
+Closed words are closed walks, so summing prod p and |prod q| over the
+closed states gives trace P^k and trace |Q|^k with no matrix power taken.
+Word-by-word cross-checks live in oracles.
 """
 
 from __future__ import annotations
@@ -32,13 +34,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import CapExceededError, DegenerateLoopError
-from .exact_matrix import ExactMatrix, determinant
-from .graph_core import (
-    DEFAULT_WORD_CAP,
-    CircleGraph,
-    DiscreteWord,
-    iter_word_products,
-)
+from .exact_matrix import ExactMatrix
+from .graph_core import CircleGraph
 
 
 def covering_matrix(g: CircleGraph) -> ExactMatrix:
@@ -62,6 +59,7 @@ def edge_count_matrix(g: CircleGraph) -> ExactMatrix:
 
 
 def _vertex_matrix(g: CircleGraph, weight) -> ExactMatrix:
+    g.require_valid()
     idx = {v: i for i, v in enumerate(g.vertices)}
     n = len(g.vertices)
     rows = [[0] * n for _ in range(n)]
@@ -106,75 +104,6 @@ def count_range_paths(g: CircleGraph, k: int, vertex: str) -> int:
         raise ValueError("length must be nonnegative")
     m = winding_matrix_abs(g).power(k)
     return m.col_sum(m.label_index(vertex))
-
-
-def cyclic_exponent_matrix(g: CircleGraph, word: DiscreteWord) -> ExactMatrix:
-    """Exponent system of a closed word's loop equations.
-
-    Row i says: p(e_i) copies of angle i minus q(e_{i+1}) copies of angle
-    i+1 (cyclically) must vanish.  For a length-1 word both terms land in
-    the single cell, giving p - q.
-    """
-    if not word.is_closed(g):
-        raise ValueError("cyclic exponent matrix needs a closed word")
-    k = len(word.edges)
-    rows = [[0] * k for _ in range(k)]
-    for i, name in enumerate(word.edges):
-        e = g.edge_named(name)
-        rows[i][i] += e.p
-        rows[i][(i + 1) % k] -= g.edge_named(word.edges[(i + 1) % k]).q
-    return ExactMatrix.from_rows(rows)
-
-
-@dataclass(frozen=True)
-class WordWeight:
-    """Loop statistics of one closed word.
-
-    loop_count is |prod p - prod q| with signed windings, or None when the
-    products coincide (degenerate word: a continuum of loops).
-    formula_count is the unsigned variant |prod p - prod |q||; the two
-    agree unless some winding is negative.
-    """
-
-    word: tuple[str, ...]
-    p_product: int
-    q_product: int
-    loop_count: int | None
-    formula_count: int
-
-    @property
-    def degenerate(self) -> bool:
-        return self.loop_count is None
-
-    @property
-    def discrepancy(self) -> bool:
-        return self.loop_count is not None and self.loop_count != self.formula_count
-
-
-def word_weight(g: CircleGraph, word: DiscreteWord) -> WordWeight:
-    if not word.is_closed(g):
-        raise ValueError("loop weights are defined for closed words only")
-    pp = 1
-    qq = 1
-    aq = 1
-    for name in word.edges:
-        e = g.edge_named(name)
-        pp *= e.p
-        qq *= e.q
-        aq *= abs(e.q)
-    det = pp - qq
-    return WordWeight(
-        word=word.edges,
-        p_product=pp,
-        q_product=qq,
-        loop_count=abs(det) if det else None,
-        formula_count=abs(pp - aq),
-    )
-
-
-def loop_weight(g: CircleGraph, word: DiscreteWord) -> int | None:
-    """|prod p - prod q| for a closed word, None when degenerate."""
-    return word_weight(g, word).loop_count
 
 
 @dataclass(frozen=True)
@@ -273,12 +202,13 @@ class ClosedWordTables:
             self.layers.append(nxt)
         return self.layers[m]
 
-    def totals(self, k: int) -> tuple[int, int, int]:
+    def totals(self, k: int) -> tuple[int, int, int, int, int]:
         """Closed words of length k: (degenerate count, sum |prod p - prod q|
-        over the others, sum |prod p - |prod q||); computed once per length."""
+        over the others, sum |prod p - |prod q||, trace P^k = sum prod p,
+        trace |Q|^k = sum |prod q|); computed once per length."""
         if k not in self._totals:
             layer = self.layer(k)
-            degenerate = loops = formula = 0
+            degenerate = loops = formula = trace_p = trace_qa = 0
             for v in self.graph.vertices:
                 for (pp, qq), mult in layer.get((v, v), {}).items():
                     if pp == qq:
@@ -286,7 +216,9 @@ class ClosedWordTables:
                     else:
                         loops += mult * abs(pp - qq)
                     formula += mult * abs(pp - abs(qq))
-            self._totals[k] = (degenerate, loops, formula)
+                    trace_p += mult * pp
+                    trace_qa += mult * abs(qq)
+            self._totals[k] = (degenerate, loops, formula, trace_p, trace_qa)
         return self._totals[k]
 
     def _suffixes(self, m: int, cur: str, end: str) -> set:
@@ -327,13 +259,9 @@ class ClosedWordTables:
         """Loop totals, every degenerate word and the trace bounds for k = 1 .. k_max."""
         if k_max < 1:
             raise ValueError("k_max must be positive")
-        p_mat = covering_matrix(self.graph)
-        qa_mat = winding_matrix_abs(self.graph)
-        p_pow = p_mat
-        qa_pow = qa_mat
         entries = []
         for k in range(1, k_max + 1):
-            degenerate, total, formula = self.totals(k)
+            degenerate, total, formula, trace_p, trace_qa = self.totals(k)
             bad = tuple(w for w, _ in self.degenerate_words(k)) if degenerate else ()
             entries.append(
                 LoopCountEntry(
@@ -341,13 +269,10 @@ class ClosedWordTables:
                     loop_count=None if degenerate else total,
                     formula_count=formula,
                     degenerate_words=bad,
-                    trace_p=p_pow.trace(),
-                    trace_q_abs=qa_pow.trace(),
+                    trace_p=trace_p,
+                    trace_q_abs=trace_qa,
                 )
             )
-            if k < k_max:
-                p_pow = p_pow @ p_mat
-                qa_pow = qa_pow @ qa_mat
         return LoopCountTable(
             entries=tuple(entries),
             has_negative_winding=any(e.q < 0 for e in self.graph.edges),
@@ -365,7 +290,7 @@ def loop_count(g: CircleGraph, k: int) -> int:
     if k < 1:
         raise ValueError("length must be positive")
     tables = ClosedWordTables(g)
-    degenerate, total, _ = tables.totals(k)
+    degenerate, total, *_ = tables.totals(k)
     if degenerate:
         word, pp = next(tables.degenerate_words(k))
         raise DegenerateLoopError(
@@ -381,12 +306,7 @@ def loop_count(g: CircleGraph, k: int) -> int:
 periodic_point_count = loop_count
 
 
-def word_weights(g: CircleGraph, k: int, cap: int = DEFAULT_WORD_CAP) -> list[WordWeight]:
-    """Per-word loop statistics for all closed words of length k."""
-    return [
-        word_weight(g, DiscreteWord(word))
-        for word, _, _ in iter_word_products(g, k, closed=True, cap=cap)
-    ]
+DEFAULT_WORD_CAP = 10**7
 
 
 def loop_table(g: CircleGraph, k_max: int, cap: int = DEFAULT_WORD_CAP) -> LoopCountTable:
@@ -403,50 +323,3 @@ def loop_table(g: CircleGraph, k_max: int, cap: int = DEFAULT_WORD_CAP) -> LoopC
         if tables.totals(k)[0] > cap:
             raise CapExceededError(f"more than {cap} degenerate words of length {k}")
     return tables.table(k_max)
-
-
-def torus_solutions_bruteforce(m: ExactMatrix, cap: int = 10**7) -> int:
-    """Count solutions of M a = 0 over Z_N, N = |det M|, by exhaustion.
-
-    Deliberately dumb: enumerates candidate tuples coordinate by
-    coordinate and checks each congruence as soon as its last variable is
-    set.  Exists as an independent check on determinant-based loop counts
-    (the solution count of a nonsingular integer system over Z_N^n with
-    N = |det| equals |det|).
-    """
-    n = m.n
-    det = determinant(m)
-    if det == 0:
-        raise ValueError("singular system: solution set over the torus is infinite")
-    big_n = abs(det)
-    if big_n**n > cap:
-        raise CapExceededError(
-            f"{big_n}^{n} candidate tuples exceed the cap of {cap}"
-        )
-    rows = [[x % big_n for x in row] for row in m.entries]
-    check_at: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
-        nz = [j for j, x in enumerate(row) if x]
-        if nz:
-            check_at[nz[-1]].append(i)
-    partial = [0] * n
-    count = 0
-
-    def assign(j: int) -> None:
-        nonlocal count
-        for a in range(big_n):
-            saved = []
-            for i in range(n):
-                if rows[i][j]:
-                    saved.append((i, partial[i]))
-                    partial[i] = (partial[i] + rows[i][j] * a) % big_n
-            if all(partial[i] == 0 for i in check_at[j]):
-                if j + 1 == n:
-                    count += 1
-                else:
-                    assign(j + 1)
-            for i, val in reversed(saved):
-                partial[i] = val
-
-    assign(0)
-    return count

@@ -14,7 +14,10 @@ Claims covered here:
 - analyze builds one transfer-matrix count and one loop table and reuses
   the verdict's radii
 - reports take rho(Lambda) and the transpose rate from rho(P), within
-  1e-9 of the dense oracles, and iterate on vertex matrices only
+  1e-9 of the dense oracles, and iterate on vertex matrices only, once
+  per distinct matrix
+- loop tables, analyze and conjecture_check take their traces from the
+  transfer-matrix states and multiply no matrices
 - the JSON rendering uses the documented field names
 """
 
@@ -37,21 +40,22 @@ from conftest import (
 from tge.entropy_report import (
     analyze,
     block_entropy,
-    block_entropy_transpose,
     conjecture_check,
-    ht_phi,
     ht_psi_lower,
     loop_entropy_estimate,
     vertex_radii,
 )
 from tge.errors import DegenerateLoopError
-from tge.exact_matrix import spectral_radius
+from tge.exact_matrix import ExactMatrix, spectral_radius
 from tge.graph_core import CircleGraph
+from tge.oracles import block_entropy_transpose, ht_phi
 from tge.path_counting import (
     ClosedWordTables,
     covering_matrix,
+    loop_table,
     symbol_matrix,
     winding_matrix,
+    winding_matrix_abs,
 )
 
 
@@ -232,13 +236,34 @@ def test_reports_iterate_on_vertex_matrices_only(tmp_path, capsys, monkeypatch):
     mixed = CircleGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 1, -2)])
     graphs = [two_loop_graph(), CircleGraph.single_loop(3, -2), mixed, *_cycle_and_wide()]
     for i, g in enumerate(graphs):
-        bound = 3 if winding_matrix(g).is_nonnegative() else 2
+        # a third radius only for a nonnegative Q that is not |Q|
+        q = winding_matrix(g)
+        bound = 3 if q.is_nonnegative() and q != winding_matrix_abs(g) else 2
         path = _write_spec(g, tmp_path / f"g{i}.json")
         for run in (lambda: analyze(g, k_max=4), lambda: _cli_json(capsys, "spectra", path)):
             sizes.clear()
             run()
             assert 1 <= len(sizes) <= bound
             assert max(sizes) <= len(g.vertices)
+
+
+def test_reports_take_traces_from_the_dp_states(monkeypatch):
+    products = []
+    real = ExactMatrix.__matmul__
+
+    def counted(self, other):
+        products.append(self.n)
+        return real(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
+    mixed = CircleGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 1, -2)])
+    for g in (two_loop_graph(), mixed, disconnected_graph(), *_cycle_and_wide()):
+        loop_table(g, 8)
+        analyze(g, k_max=6)
+        conjecture_check(g, k_max=6)
+    assert products == []
+    covering_matrix(mixed) @ covering_matrix(mixed)
+    assert products == [1]
 
 
 def test_report_json_field_names(two_loops):

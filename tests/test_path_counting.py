@@ -3,7 +3,8 @@
 Claims covered here:
 
 - covering/winding/absolute-winding/edge-count matrices are laid out
-  source-row by range-column with vertex labels
+  source-row by range-column with vertex labels, and refuse an invalid
+  graph with GraphValidationError, as the symbol matrix does
 - forward path counts are covering row sums, backward counts are
   absolute-winding column sums, with hand-checked values
 - the cyclic exponent system of a closed word has the advertised shape
@@ -19,8 +20,10 @@ Claims covered here:
   (e, k) before (f, l) exactly when s(e) = r(f)
 - the transfer-matrix loop table equals a table built by enumerating
   every closed word: same counts, same degenerate words in the same
-  order; its cap bounds degenerate words and fires at the first length
-  whose enumerated degenerate count exceeds it; loop_count raises
+  order, and traces summed from the states equal the matrix-power traces,
+  also on 15- and 32-cycles and a p=50 two-vertex graph; its cap bounds
+  degenerate words and fires at the first length whose enumerated
+  degenerate count exceeds it; loop_count raises
   exactly what word-by-word enumeration raises
 - deep tables agree with the binomial closed form of two-loop graphs,
   past the point where the closed words outnumber the cap
@@ -40,13 +43,19 @@ from conftest import (
     two_cycle_graph,
     two_loop_graph,
 )
-from tge.errors import CapExceededError, DegenerateLoopError
+from tge import block_entropy
+from tge.errors import CapExceededError, DegenerateLoopError, GraphValidationError
 from tge.exact_matrix import ExactMatrix, determinant, power_trace
-from tge.graph_core import (
-    CircleGraph,
+from tge.graph_core import CircleGraph
+from tge.oracles import (
     DiscreteWord,
+    cyclic_exponent_matrix,
     enumerate_words,
     iter_word_products,
+    loop_weight,
+    torus_solutions_bruteforce,
+    word_weight,
+    word_weights,
 )
 from tge.path_counting import (
     LoopCountEntry,
@@ -54,19 +63,16 @@ from tge.path_counting import (
     count_range_paths,
     count_source_paths,
     covering_matrix,
-    cyclic_exponent_matrix,
     edge_count_matrix,
     loop_count,
     loop_table,
-    loop_weight,
     mat_P,
     mat_Q,
     mat_Q_abs,
     periodic_point_count,
     symbol_matrix,
-    torus_solutions_bruteforce,
-    word_weight,
-    word_weights,
+    winding_matrix,
+    winding_matrix_abs,
 )
 
 
@@ -102,6 +108,17 @@ def test_symbol_matrix_shape(two_loops):
         assert lam.entries == tuple(
             tuple(int(e.source == f.range) for f in sheets) for e in sheets
         ), g
+
+
+def test_vertex_matrix_builders_validate_the_graph():
+    # edge e ranges at an unknown vertex
+    g = CircleGraph.build(["v"], [("e", "v", "w", 2, 1)])
+    builders = (covering_matrix, winding_matrix, winding_matrix_abs, edge_count_matrix,
+                symbol_matrix, block_entropy, lambda g: count_source_paths(g, 2, "v"),
+                lambda g: count_range_paths(g, 2, "v"))
+    for build in builders:
+        with pytest.raises(GraphValidationError, match="unknown range vertex 'w'"):
+            build(g)
 
 
 def test_path_counts_known_values(two_loops, single_23):
@@ -316,6 +333,21 @@ def small_random_graphs(count, seed):
         yield random_valid_graph(rng, max_p=limit, max_q=limit)
 
 
+def spectra_shaped_graphs():
+    """(graph, k_max): 15- and 32-cycles with one p=2 edge, just past one
+    turn, and a two-vertex graph with p=50."""
+    for n in (15, 32):
+        yield CircleGraph.build(
+            [f"v{i}" for i in range(n)],
+            [(f"e{i}", f"v{i}", f"v{(i + 1) % n}", 2 if i == 6 else 1, -1 if i % 4 else 1)
+             for i in range(n)],
+        ), n + 1
+    yield CircleGraph.build(
+        ["v", "w"],
+        [("a", "v", "w", 50, 5), ("b", "w", "v", 1, -3), ("c", "v", "v", 1, 2)],
+    ), 10
+
+
 def test_loop_table_matches_enumeration_on_random_graphs():
     degenerate = 0
     for g in small_random_graphs(200, 2024):
@@ -323,6 +355,11 @@ def test_loop_table_matches_enumeration_on_random_graphs():
         assert loop_table(g, 6) == expected, g
         degenerate += expected.any_degenerate
     assert degenerate >= 40
+    for g, k_max in spectra_shaped_graphs():
+        expected = enumerated_table(g, k_max)
+        assert loop_table(g, k_max) == expected, g
+        # not vacuous: an n-cycle's traces are nonzero at k = n alone
+        assert any(e.trace_p for e in expected.entries)
 
 
 def test_cap_overflow_matches_enumeration():

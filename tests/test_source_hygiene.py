@@ -6,13 +6,17 @@ The package's __init__.py (whose imports are re-exports) and
 when it appears as an identifier anywhere in the module, annotations
 included; quoted annotations are parsed for their identifiers too.
 
-The report path imports no oracle: cli.py and entropy_report.py import no
-word enumerator or brute-force solver, and entropy_report.py, which only
-counts, imports neither the word cap nor its error.
+The oracles live in tge/oracles.py and nowhere else: no package module
+but __init__.py imports that module, in any form, or one of its names, and
+each moved name still belongs to oracles and to tge.__all__.
+entropy_report.py, which only counts, imports neither the word cap nor its
+error.
 """
 
 import ast
 from pathlib import Path
+
+import tge
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tge"
 
@@ -56,31 +60,50 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports_in_package_modules():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert len(modules) >= 9
+    assert len(modules) >= 10
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert unused == [], "imported but never used: " + ", ".join(unused)
 
 
-ORACLES = {"iter_word_products", "enumerate_words", "word_weights",
-           "torus_solutions_bruteforce"}
-REPORT_PATH_BANS = {
-    "cli.py": ORACLES,
-    "entropy_report.py": ORACLES | {"DEFAULT_WORD_CAP", "CapExceededError"},
-}
+ORACLES = {"DiscreteWord", "enumerate_words", "iter_word_products", "WordWeight",
+           "word_weight", "loop_weight", "cyclic_exponent_matrix", "word_weights",
+           "torus_solutions_bruteforce", "ht_phi", "block_entropy_transpose"}
+# iter_word_products was never exported from tge
+EXPORTED_ORACLES = ORACLES - {"iter_word_products"}
+WORD_CAP = {"DEFAULT_WORD_CAP", "CapExceededError"}
 
 
-def banned_imports(path: Path, banned: set[str]) -> list[str]:
-    """Imports of a banned name, under any alias."""
+def _import_targets(tree: ast.Module):
+    """(dotted name, line) of everything a module imports, relative
+    imports resolved against the tge package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["tge" if node.level else None, node.module]))
+            for alias in node.names:
+                yield f"{base}.{alias.name}", node.lineno
+
+
+def banned_imports(path: Path, banned_names: set[str]) -> list[str]:
+    """Imports of tge.oracles or anything in it, or of a banned name, under any alias."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    return [f"{path.name}:{node.lineno} {alias.name}"
-            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names if alias.name.rsplit(".", 1)[-1] in banned]
+    return [f"{path.name}:{line} {target}" for target, line in _import_targets(tree)
+            if target == "tge.oracles" or target.startswith("tge.oracles.")
+            or target.rsplit(".", 1)[-1] in banned_names]
 
 
 def test_report_path_imports_no_oracle_or_word_cap():
-    found = [entry for name, banned in REPORT_PATH_BANS.items()
-             for entry in banned_imports(SRC / name, banned)]
-    assert found == [], "report path imports: " + ", ".join(found)
+    modules = sorted(p for p in SRC.glob("*.py") if p.name not in ("__init__.py", "oracles.py"))
+    assert len(modules) >= 9
+    found = [entry for path in modules for entry in banned_imports(
+        path, ORACLES | (WORD_CAP if path.name == "entropy_report.py" else set()))]
+    assert found == [], "banned imports: " + ", ".join(found)
+    for name in ORACLES:
+        assert getattr(tge.oracles, name).__module__ == "tge.oracles", name
+    for name in EXPORTED_ORACLES:
+        assert name in tge.__all__ and getattr(tge, name) is getattr(tge.oracles, name), name
 
 
 def test_scan_sees_quoted_annotations_and_dotted_imports(tmp_path):
