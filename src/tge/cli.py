@@ -9,8 +9,10 @@ pipe and byte-stable across runs.  Machine-readable reports carry
 Exit codes: 0 success; 2 I/O or configuration trouble (a flag the
 subcommand does not take included); 3 unparseable graph or expression;
 4 an invalid graph, more than --cap degenerate words at one length in
-loops, or radius non-convergence; 5 a loop family with a continuum of
-members where a finite count was required.
+loops, or a --tol finer than doubles can resolve for some radius; 5 a
+loop family with a continuum of members where a finite count was
+required.  --tol is the relative width of the Collatz-Wielandt bracket
+each radius is the midpoint of.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--tol",
                 type=float,
                 default=DEFAULT_TOL,
-                help="relative tolerance for radius iteration (default %(default)s)",
+                help="relative width of each radius's Collatz-Wielandt bracket, "
+                "computed in doubles (default %(default)s)",
             )
         if "cap" in flags:
             p.add_argument(

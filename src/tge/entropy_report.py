@@ -75,8 +75,9 @@ def vertex_radii(g: CircleGraph, tol: float = DEFAULT_TOL) -> VertexRadii:
     Analysis, Thm 1.3.22).  The transposed graph reverses each edge and
     covers with degree |q(e)|, winding +-p(e) times, so its absolute
     winding matrix is P^T as well.  rho_Q_signed is None when Q has a
-    negative entry: power iteration has no business on mixed signs.  When
-    no winding is negative, Q is |Q| and shares its radius.
+    negative entry: spectral_radius finds Perron roots of nonnegative
+    matrices only.  When no winding is negative, Q is |Q| and shares its
+    radius.
     """
     g.require_valid()
     p_mat = covering_matrix(g)

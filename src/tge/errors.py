@@ -36,7 +36,9 @@ class DegenerateLoopError(TgeError):
 
 
 class SpectralConvergenceError(TgeError):
-    """Power iteration failed to reach tolerance; carries the best estimate."""
+    """A radius bracket stopped narrowing short of tol, which must then be
+    finer than doubles resolve; carries the narrowest bracket's midpoint
+    and width and the step count."""
 
     def __init__(self, message, best_estimate, iterations, residual):
         self.best_estimate = best_estimate

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -55,6 +56,37 @@ def equal_radius_graph() -> CircleGraph:
         ["v"],
         [("a", "v", "v", 3, 1), ("b", "v", "v", 1, 2), ("c", "v", "v", 1, 2)],
     )
+
+
+def doubled_cycle_graph(n: int) -> CircleGraph:
+    """Directed n-cycle whose first edge covers with degree 2, the rest with 1.
+
+    The covering matrix has Perron root 2**(1/n), and every eigenvalue
+    (2**(1/n) times an n-th root of unity) shares its modulus.
+    """
+    vertices = [f"v{i}" for i in range(n)]
+    return CircleGraph.build(vertices, [
+        (f"e{i}", vertices[i], vertices[(i + 1) % n], 2 if i == 0 else 1, 1)
+        for i in range(n)
+    ])
+
+
+def heavy_loop_graph(p: int) -> CircleGraph:
+    """A loop of covering degree p at v, and one edge each way between v
+    and w: P = [[p, 1], [1, 0]].  For large p the Perron vector's weights
+    are uneven (about p to 1), so the upper Collatz-Wielandt bound reaches
+    the root long before the lower one does."""
+    return CircleGraph.build(["v", "w"], [
+        ("loop", "v", "v", p, 1), ("out", "v", "w", 1, 2), ("back", "w", "v", 1, 1),
+    ])
+
+
+def write_spec(g: CircleGraph, path: Path) -> str:
+    """Write g as a graph spec file and return its path as a string."""
+    edges = [{"name": e.name, "source": e.source, "range": e.range, "p": e.p, "q": e.q}
+             for e in g.edges]
+    path.write_text(json.dumps({"vertices": list(g.vertices), "edges": edges}))
+    return str(path)
 
 
 # Named corpus used by basis verification and other sweeps; every graph is

@@ -6,8 +6,10 @@ Claims covered here:
   sha256 of the graph file bytes
 - exit codes: 0 success, 2 I/O and configuration (a flag the
   subcommand does not take included), 3 parse errors, 4 validation,
-  more than --cap degenerate words at one length in loops, or radius
-  non-convergence, 5 degenerate loop structure
+  more than --cap degenerate words at one length in loops, or a --tol
+  finer than doubles resolve, 5 degenerate loop structure
+- spectra resolves the Perron root of a 150-cycle, analyze that of a
+  p=20000 loop
 - error paths print to stderr and leave stdout empty
 - reruns are byte-identical; --out writes the payload to a file
 - the loops table serializes degenerate lengths as nulls and its CSV
@@ -33,7 +35,8 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, doubled_cycle_graph, heavy_loop_graph, write_spec
+from tge import CircleGraph
 from tge.cli import main
 from tge.path_counting import ClosedWordTables
 
@@ -222,6 +225,25 @@ def test_validation_errors_exit_4(capsys):
     assert code2 == 4
     assert out2 == ""
     assert err2 == "tge: more than 5 degenerate words of length 4\n"
+
+
+def test_spectra_radius_exits(capsys, tmp_path):
+    cycle = write_spec(doubled_cycle_graph(150), tmp_path / "cycle150.json")
+    code, out, err = run(capsys, ["spectra", cycle, "--format", "text"])
+    assert (code, err) == (0, "")
+    assert f"rho_P: {2 ** (1 / 150):.12g}\n" in out
+    # spectra would also print the 20002 x 20002 symbol matrix
+    heavy = write_spec(heavy_loop_graph(20000), tmp_path / "heavy.json")
+    code, out, err = run(capsys, ["analyze", heavy, "--kmax", "4", "--format", "text"])
+    assert (code, err) == (0, "")
+    assert "rho_P: 20000.00005\n" in out
+    # P = [[1, 3], [3, 0]]: no pair of doubles brackets (1 + sqrt 37)/2 within 1e-300
+    square = write_spec(CircleGraph.build(["v", "w"], [
+        ("a", "v", "v", 1, 1), ("b", "v", "w", 3, 1), ("c", "w", "v", 3, 1),
+    ]), tmp_path / "square.json")
+    code, out, err = run(capsys, ["spectra", square, "--tol", "1e-300"])
+    assert (code, out) == (4, "")
+    assert "stopped narrowing" in err and "tol=1e-300" in err
 
 
 def test_io_and_config_errors_exit_2(capsys, monkeypatch):

@@ -36,6 +36,7 @@ from conftest import (
     fixture_graphs,
     random_valid_graph,
     two_loop_graph,
+    write_spec,
 )
 from tge.entropy_report import (
     analyze,
@@ -189,13 +190,6 @@ def _cli_json(capsys, *argv) -> dict:
     return json.loads(capsys.readouterr().out)
 
 
-def _write_spec(g: CircleGraph, path) -> str:
-    edges = [{"name": e.name, "source": e.source, "range": e.range, "p": e.p, "q": e.q}
-             for e in g.edges]
-    path.write_text(json.dumps({"vertices": list(g.vertices), "edges": edges}))
-    return str(path)
-
-
 def test_symbol_rate_matches_covering_rate(tmp_path, capsys):
     analyzed = 0
     for i, g in enumerate(_identity_graphs()):
@@ -203,7 +197,7 @@ def test_symbol_rate_matches_covering_rate(tmp_path, capsys):
         h_t = block_entropy_transpose(g)
         radii = vertex_radii(g)
         assert radii.rho_P == spectral_radius(covering_matrix(g)).radius
-        path = _write_spec(g, tmp_path / f"g{i}.json")
+        path = write_spec(g, tmp_path / f"g{i}.json")
         docs = [_cli_json(capsys, "spectra", path)]
         try:
             report = analyze(g, k_max=4)
@@ -239,7 +233,7 @@ def test_reports_iterate_on_vertex_matrices_only(tmp_path, capsys, monkeypatch):
         # a third radius only for a nonnegative Q that is not |Q|
         q = winding_matrix(g)
         bound = 3 if q.is_nonnegative() and q != winding_matrix_abs(g) else 2
-        path = _write_spec(g, tmp_path / f"g{i}.json")
+        path = write_spec(g, tmp_path / f"g{i}.json")
         for run in (lambda: analyze(g, k_max=4), lambda: _cli_json(capsys, "spectra", path)):
             sizes.clear()
             run()

@@ -8,16 +8,27 @@ Claims covered here:
 - Smith normal form yields a nonnegative divisibility chain, unimodular
   transforms, and a diagonal that factors as left @ m @ right
 - the spectral radius matches known Perron roots, stays inside the
-  row-sum bounds, rejects negative matrices, and reports nonconvergence
+  row-sum bounds, rejects negative matrices and any tol outside (0, 1),
+  and reports a tolerance finer than doubles resolve as nonconvergence
+- Noda iteration resolves long cycles in a dozen steps, retries a failed
+  solve with a larger shift before it gives up, and every radius
+  it returns is bracketed exactly: in Fraction arithmetic,
+  rho*(1 + 2 tol) I - B eliminates through positive pivots only (a
+  nonsingular M-matrix, so the bound lies above the Perron root) and
+  rho*(1 - 2 tol) I - B does not
 - strongly connected components split the support digraph correctly
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from conftest import doubled_cycle_graph, heavy_loop_graph
+from tge import exact_matrix
 from tge.errors import SpectralConvergenceError
 from tge.exact_matrix import (
+    DEFAULT_TOL,
     ExactMatrix,
     determinant,
     power_trace,
@@ -26,6 +37,7 @@ from tge.exact_matrix import (
     spectral_radius,
     strong_components,
 )
+from tge.path_counting import covering_matrix
 
 
 def _cofactor_det(rows):
@@ -211,14 +223,122 @@ def test_spectral_radius_rejects_negative_entries():
         spectral_radius(ExactMatrix.from_rows([[1, -1], [0, 1]]))
 
 
-def test_spectral_radius_reports_nonconvergence():
+@pytest.mark.parametrize("tol", [5.0, 1.0, 0.0, -1.0, float("nan"), float("inf")])
+def test_spectral_radius_rejects_tol_outside_unit_interval(tol):
     fib = ExactMatrix.from_rows([[1, 1], [1, 0]])
+    with pytest.raises(ValueError, match="tol must lie strictly between 0 and 1"):
+        spectral_radius(fib, tol=tol)
+
+
+def test_spectral_radius_reports_nonconvergence():
+    # rho = (1 + sqrt 37)/2 = 3.5413...: at a tolerance no double can meet,
+    # the bracket stops narrowing a few steps in and the loop gives up
+    m = ExactMatrix.from_rows([[1, 3], [3, 0]])
     with pytest.raises(SpectralConvergenceError) as exc:
-        spectral_radius(fib, max_iter=2)
+        spectral_radius(m, tol=1e-300)
     err = exc.value
-    assert err.iterations == 2
+    assert 2 <= err.iterations <= 12
     assert err.residual > 0
-    assert err.best_estimate > 0
+    assert err.best_estimate == pytest.approx((1 + 37 ** 0.5) / 2, rel=1e-15)
+
+
+CYCLE_LENGTHS = (15, 40, 150)
+
+
+@pytest.mark.parametrize("n", CYCLE_LENGTHS)
+def test_long_cycle_radius_in_few_steps(n):
+    result = spectral_radius(covering_matrix(doubled_cycle_graph(n)))
+    assert result.radius == pytest.approx(2 ** (1 / n), rel=1e-12, abs=0)
+    assert result.iterations <= 12
+
+
+def eliminates_through_positive_pivots(lam: Fraction, m: ExactMatrix) -> bool:
+    """Whether lam*I - m has only positive pivots under elimination without
+    pivoting, in exact arithmetic.  For irreducible m >= 0 that holds iff
+    lam*I - m is a nonsingular M-matrix, iff lam > rho(m) (Berman and
+    Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 6)."""
+    n = m.n
+    a = [[(lam if i == j else 0) - m[i, j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        pivot_row = [(j, a[k][j]) for j in range(k + 1, n) if a[k][j]]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] / a[k][k]
+                for j, v in pivot_row:
+                    a[i][j] -= f * v
+    return True
+
+
+def strongly_connected_matrices(rng: random.Random, count: int):
+    """Random nonnegative integer matrices, n <= 8, each strongly connected
+    through a spanning cycle in a random vertex order."""
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        density = rng.choice((0.1, 0.4, 0.8))
+        rows = [[rng.randint(1, 9) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)]
+        order = rng.sample(range(n), n)
+        for a, b in zip(order, order[1:] + order[:1]):
+            rows[a][b] = rng.randint(1, 5)
+        yield ExactMatrix.from_rows(rows)
+
+
+# Perron vector entries span 1 down to 1e-40; the float hi sits on rho
+# several steps before lo leaves 1
+UNEVEN_8 = [
+    [485260622, 0, 0, 0, 0, 1, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, 1, 1, 0, 281051946, 0], [0, 0, 0, 0, 0, 0, 0, 1],
+    [0, 1, 0, 0, 0, 0, 0, 1], [0, 530028064, 1, 0, 1, 0, 0, 0],
+    [0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0, 1, 1],
+]
+
+
+def test_spectral_radius_is_bracketed_exactly():
+    rng = random.Random(1971)
+    cases = list(strongly_connected_matrices(rng, 220))
+    cases += [covering_matrix(doubled_cycle_graph(n)) for n in CYCLE_LENGTHS]
+    # uneven Perron vectors: hi rounds onto rho while lo still lags
+    cases.append(covering_matrix(heavy_loop_graph(20000)))
+    cases += [ExactMatrix.from_rows([[round(10 ** (4 + i / 100)), 1], [1, 0]]) for i in range(201)]
+    cases.append(ExactMatrix.from_rows(UNEVEN_8))
+    assert len(cases) >= 200
+    tol = Fraction(DEFAULT_TOL)
+    for m in cases:
+        assert len(strong_components(m)) == 1
+        rho = Fraction(spectral_radius(m).radius)
+        assert eliminates_through_positive_pivots(rho * (1 + 2 * tol), m), m
+        assert not eliminates_through_positive_pivots(rho * (1 - 2 * tol), m), m
+
+
+def test_failed_solve_retries_with_a_larger_shift(monkeypatch):
+    solve = exact_matrix._shifted_solve
+    refused = []  # (x, sigma) of each step's first solve
+
+    def first_try_fails(rows, sigma, x):
+        tried = [shift for seen, shift in refused if seen is x]
+        if not tried:
+            refused.append((x, sigma))
+            return None
+        assert sigma > tried[0]
+        return solve(rows, sigma, x)
+
+    monkeypatch.setattr(exact_matrix, "_shifted_solve", first_try_fails)
+    fib = ExactMatrix.from_rows([[1, 1], [1, 0]])
+    assert spectral_radius(fib).radius == pytest.approx((1 + 5 ** 0.5) / 2, rel=1e-12, abs=0)
+    assert len(refused) >= 2
+
+
+def test_solve_failing_at_every_shift_raises(monkeypatch):
+    shifts = []
+    monkeypatch.setattr(exact_matrix, "_shifted_solve", lambda rows, sigma, x: shifts.append(sigma))
+    # from x = 1 the bracket is [1, 2]; shifts rise 16-fold to hi + width
+    with pytest.raises(SpectralConvergenceError) as exc:
+        spectral_radius(ExactMatrix.from_rows([[1, 1], [1, 0]]))
+    assert (exc.value.iterations, exc.value.residual, exc.value.best_estimate) == (1, 1.0, 1.5)
+    assert shifts == sorted(shifts) and shifts[0] > 2.0 and shifts[-1] == 3.0
+    assert len(shifts) <= 16
 
 
 def test_strong_components_structure():

@@ -11,9 +11,14 @@ but __init__.py imports that module, in any form, or one of its names, and
 each moved name still belongs to oracles and to tge.__all__.
 entropy_report.py, which only counts, imports neither the word cap nor its
 error.
+
+No module under src/tge names `max_iter` or `DEFAULT_MAX_ITER`: radii
+iterate until the bracket meets tol or stops narrowing, and an iteration
+cap would only let a valid graph fail.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import tge
@@ -118,3 +123,13 @@ def test_scan_sees_quoted_annotations_and_dotted_imports(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(src) == ["sample.py:3 js", "sample.py:4 Mapping"]
+
+
+ITERATION_CAP = re.compile(r"\b(?:max_iter|DEFAULT_MAX_ITER)\b")
+
+
+def test_no_iteration_cap_in_package():
+    found = [f"{path.name}:{lineno}" for path in sorted(SRC.glob("*.py"))
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if ITERATION_CAP.search(line)]
+    assert found == [], "iteration cap named at " + ", ".join(found)
