@@ -16,12 +16,11 @@ reconstruction of every monomial vector from its coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
 
 from .errors import NormalizationError
 from .graph_core import CircleEdge, CircleGraph, Symbol, walk_words
-from .laurent_algebra import LaurentPoly
+from .laurent_algebra import GaussianRational, LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def inner(x: BimoduleVector, y: BimoduleVector) -> dict[str, LaurentPoly]:
         e = g.edge_named(name)
         term = (xpoly.adjoint() * ypoly).transfer(e.p).with_vertex(e.source)
         if xflag and yflag:
-            term = term.scale(Fraction(1, e.p))
+            term = term.scale(GaussianRational.ratio(1, e.p))
         elif xflag or yflag:
             raise NormalizationError(
                 f"edge {name!r}: inner product leaves an unresolved 1/sqrt({e.p}) factor"
@@ -189,13 +188,17 @@ def verify_basis(g: CircleGraph, max_exponent: int | None = None) -> BasisReport
     Orthonormality: inner(xi_i, xi_j) is the unit at s(e_i) when i = j and
     zero otherwise.  Reconstruction: sum_i xi_i . inner(xi_i, eta) = eta
     for flagged monomial vectors eta = z^m on each edge, |m| bounded by
-    2 max p(e) unless overridden.  (Flagged test vectors are equivalent to
-    plain ones: reconstruction is linear and each edge scale factor is a
-    nonzero constant, but flagged vectors keep every coefficient rational.)
+    2 max p(e) unless overridden by a non-negative int max_exponent
+    (anything else raises ValueError: a negative bound would check
+    nothing).  (Flagged test vectors are equivalent to plain ones:
+    reconstruction is linear and each edge scale factor is a nonzero
+    constant, but flagged vectors keep every coefficient rational.)
     """
     g.require_valid()
     if max_exponent is None:
         max_exponent = 2 * max(e.p for e in g.edges)
+    elif type(max_exponent) is not int or max_exponent < 0:
+        raise ValueError(f"max_exponent must be a non-negative int, got {max_exponent!r}")
     syms = g.symbols()
     basis = {s: basis_vector(g, s) for s in syms}
     failures: list[str] = []

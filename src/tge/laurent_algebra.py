@@ -1,7 +1,9 @@
 """Vertex-localized Laurent polynomials over exact Gaussian rationals.
 
 Each polynomial lives on a single named vertex circle and is a finite sum
-c_n z^n with Gaussian-rational coefficients (pairs of Fractions).  The
+c_n z^n with Gaussian-rational coefficients.  A coefficient (a + b*i)/d is
+held as three ints in canonical form (d > 0, gcd(a, b, d) = 1), so all
+scalar arithmetic is integer arithmetic with one gcd per result.  The
 three structural maps are:
 
   adjoint            z^n -> conj(c) z^{-n}
@@ -18,78 +20,155 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _parts(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction, denominator > 0."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex rational re + im*i."""
+    """Exact complex rational re + im*i, stored as (a + b*i)/d.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The triple is canonical (d > 0, gcd(a, b, d) = 1), so equal values
+    have equal fields and == and hash compare the fields.  Instances are
+    immutable; re and im are read-only Fraction views.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re=0, im=0):
+        a, d = _parts(re)
+        b, e = _parts(im)
+        if d != e:
+            a, b, d = a * e, b * d, d * e
+        g = gcd(a, b, d)
+        self._a, self._b, self._d = a // g, b // g, d // g
 
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":
-        return cls(_as_fraction(re), _as_fraction(im))
+        return cls(re, im)
+
+    @classmethod
+    def ratio(cls, num: int, den: int) -> "GaussianRational":
+        """The real number num/den from two ints."""
+        if not den:
+            raise ZeroDivisionError(f"ratio {num}/0")
+        if den < 0:
+            num, den = -num, -den
+        return _reduced(num, 0, den)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, f = self._d, other._d
+        if d == f:
+            a, b = self._a + other._a, self._b + other._b
+            if d == 1:
+                return _triple(a, b, 1)
+        else:
+            a = self._a * f + other._a * d
+            b = self._b * f + other._b * d
+            d *= f
+        return _reduced(a, b, d)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if b or e:
+            a, b = a * c - b * e, a * e + b * c
+        else:
+            a *= c
+            if d == 1:
+                return _triple(a, 0, 1)
+        return _reduced(a, b, d)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def scale(self, c) -> "GaussianRational":
-        c = _as_fraction(c)
-        return GaussianRational(self.re * c, self.im * c)
+        """self * c for an int, Fraction or GaussianRational c."""
+        if c.__class__ is int:
+            g = gcd(c, self._d)
+            c //= g
+            return _triple(self._a * c, self._b * c, self._d // g)
+        return self * _coerce_coeff(c)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self._a / self._d, self._b / self._d)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
+        if not self._b:
+            return str(self._a) if self._d == 1 else f"{self._a}/{self._d}"
+        re, im = self.re, self.im
+        if not re:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         imag = "i" if mag == 1 else f"{mag}i"
-        return f"({self.re}{sign}{imag})"
+        return f"({re}{sign}{imag})"
+
+
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i)/d from a triple already in canonical form."""
+    x = _new(GaussianRational)
+    x._a, x._b, x._d = a, b, d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i)/d for any d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _triple(a, b, d)
 
 
 GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1))
+GR_ONE = GaussianRational(1)
+_GR_MINUS_ONE = -GR_ONE
 
 
 def _coerce_coeff(c) -> GaussianRational:
     if isinstance(c, GaussianRational):
         return c
-    return GaussianRational(_as_fraction(c))
+    return GaussianRational(c)
 
 
 @dataclass(frozen=True)
@@ -217,7 +296,7 @@ class LaurentPoly:
             head = var if n == 1 else f"{var}^{n}"
             if c == GR_ONE:
                 parts.append(head)
-            elif c == GaussianRational(Fraction(-1)):
+            elif c == _GR_MINUS_ONE:
                 parts.append(f"-{head}")
             else:
                 parts.append(f"{c}*{head}")

@@ -10,7 +10,11 @@ Claims covered here:
 - the left action is adjointable and the inner product is right-linear
 - flag mismatches raise instead of losing normalization factors
 - verify_basis passes on every fixture graph, detects a dropped generator
-  and pairs each test vector only with its own edge's generators
+  and pairs each test vector only with its own edge's generators; a
+  max_exponent that is not a non-negative int raises instead of passing
+  with no reconstruction checks
+- verify_basis and normalize construct no Fraction: their coefficient
+  arithmetic runs on the integer-backed scalar
 - admissible symbol words count via symbol-adjacency powers
 - Laurent matrices enforce localization, form a *-algebra, and the
   one-level embedding is an injective unital *-homomorphism on blocks
@@ -24,7 +28,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import FIXTURES, fixture_graphs, two_cycle_graph
+from conftest import FIXTURES, fixture_graphs, heavy_loop_graph, two_cycle_graph
 from tge.bimodule_engine import (
     BimoduleVector,
     LaurentMatrix,
@@ -45,6 +49,7 @@ from tge.bimodule_engine import (
 from tge.errors import NormalizationError
 from tge.graph_core import Symbol
 from tge.laurent_algebra import GaussianRational, LaurentPoly
+from tge.monomial_rewriter import normalize, parse_expression, render_sum
 
 
 def _rand_poly(rng, vertex):
@@ -184,6 +189,46 @@ def test_verify_basis_pairs_only_same_edge_sheets(two_loops, monkeypatch):
     s = len(two_loops.symbols())
     m = 2 * max(e.p for e in two_loops.edges)
     assert len(calls) == s * s + (2 * m + 1) * s == 36
+
+
+def test_verify_basis_rejects_a_bound_that_checks_nothing(two_loops):
+    for bad in (-3, -1, 1.5, "2", True):
+        with pytest.raises(ValueError, match="max_exponent"):
+            verify_basis(two_loops, max_exponent=bad)
+    rep = verify_basis(two_loops, max_exponent=0)
+    assert rep.passed and rep.reconstruction_checks == len(two_loops.edges)
+
+
+def fraction_count(fn, *args):
+    """fn(*args) and the number of Fractions constructed while it ran."""
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *a, **kw):
+        made.append(a)
+        return real_new(cls, *a, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counting_new)
+        result = fn(*args)
+    return result, len(made)
+
+
+def test_verify_basis_constructs_no_fraction():
+    g = heavy_loop_graph(16)
+    rep, made = fraction_count(verify_basis, g)
+    assert rep.passed and rep.orthogonality_checks == 18 ** 2
+    assert made == 0
+
+
+def test_normalize_constructs_no_fraction(two_loops):
+    x = parse_expression(
+        "(S(e1,1) + S(e2,1) + u(v))*(S*(e1,2) + 1/2 + u(v)^-1)"
+        "*(S(e1,2) + S*(e2,1) + 3)*(u(v)^2 + S*(e1,1) + -5/6)", two_loops)
+    nf, made = fraction_count(normalize, x, two_loops)
+    assert made == 0
+    assert render_sum(nf).startswith("(-5/2*u(v)^0 - 25/12*u(v) + 3*u(v)^2")
+    assert fraction_count(Fraction, 1, 3)[1] == 1  # the counter does count
 
 
 def test_dropped_generator_breaks_reconstruction(two_loops):

@@ -3,6 +3,12 @@
 Claims covered here:
 
 - Gaussian-rational arithmetic, conjugation, and printing are exact
+- the integer-backed scalar agrees with a pair-of-Fractions oracle on
+  +, -, *, negation, conjugate, scale (by int, Fraction or Gaussian),
+  bool, re, im, str, repr and to_complex; its form is canonical (equal
+  values compare and hash equal however they were built); floats are
+  refused and attributes cannot be set
+- scaling a polynomial by a Gaussian scalar scales every coefficient
 - sums and products of circle functions match hand-expanded results
 - the adjoint is an involutive antiautomorphism (conjugate, flip powers)
 - functions on different circles never combine
@@ -49,6 +55,99 @@ def test_gaussian_rational_arithmetic():
     assert str(GR_ONE) == "1"
     assert not GR_ZERO
     assert GR_ONE
+
+
+# ---------------------------------------------------------------------------
+# the scalar against a pair-of-Fractions oracle
+
+
+def _pair(x: GaussianRational) -> tuple[Fraction, Fraction]:
+    return x.re, x.im
+
+
+def _oracle_str(re: Fraction, im: Fraction) -> str:
+    if not im:
+        return str(re)
+    if not re:
+        return {1: "i", -1: "-i"}.get(im, f"{im}i")
+    mag = abs(im)
+    imag = "i" if mag == 1 else f"{mag}i"
+    return f"({re}{'+' if im > 0 else '-'}{imag})"
+
+
+frac_st = st.fractions(min_value=-40, max_value=40, max_denominator=36)
+pair_st = st.tuples(frac_st, frac_st)
+scalar_st = pair_st.map(lambda t: GaussianRational.of(*t))
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair_st, pair_st, st.integers(min_value=-12, max_value=12), frac_st)
+def test_scalar_matches_fraction_pair_oracle(xp, yp, n, r):
+    (a, b), (c, d) = xp, yp
+    x, y = GaussianRational.of(a, b), GaussianRational.of(c, d)
+    assert _pair(x) == (a, b)
+    assert _pair(x + y) == (a + c, b + d)
+    assert _pair(x - y) == (a - c, b - d)
+    assert _pair(x * y) == (a * c - b * d, a * d + b * c)
+    assert _pair(-x) == (-a, -b)
+    assert _pair(x.conjugate()) == (a, -b)
+    assert _pair(x.scale(n)) == (a * n, b * n)
+    assert _pair(x.scale(r)) == (a * r, b * r)
+    assert x.scale(y) == x * y
+    assert bool(x) == bool(a or b)
+    assert str(x) == _oracle_str(a, b)
+    assert repr(x) == f"GaussianRational(re={a!r}, im={b!r})"
+    assert x.to_complex() == complex(a) + 1j * complex(b)
+    assert GaussianRational(a, b) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalar_st, scalar_st, scalar_st)
+def test_scalar_form_is_canonical(x, y, z):
+    rebuilt = GaussianRational.of(x.re, x.im)
+    for same in ((x + y) - y, (x * y + x * z) - x * (y + z) + x, -(-x), x.conjugate().conjugate(),
+                 rebuilt):
+        assert same == x and hash(same) == hash(x)
+    if y:
+        # dividing back out of a product: (x * y) * conj(y) / |y|^2
+        norm = (y * y.conjugate()).re
+        back = (x * y * y.conjugate()).scale(1 / norm)
+        assert back == x and hash(back) == hash(x)
+
+
+def test_scalar_canonical_from_unreduced_inputs():
+    a = GaussianRational.of(Fraction(2, 4), Fraction(3, 6))
+    b = GaussianRational.of(Fraction(1, 2), Fraction(1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert GaussianRational.of(Fraction(3, 6)) * GaussianRational.of(2) == GR_ONE
+    assert hash(GaussianRational.of(Fraction(1, 3)).scale(3)) == hash(GR_ONE)
+    assert GaussianRational.ratio(2, -4) == GaussianRational.of(Fraction(-1, 2))
+    assert {GaussianRational.of(1, 1).scale(Fraction(1, 2)), b} == {b}
+    assert GR_ZERO == GaussianRational.of(Fraction(0, 5), 0) == GR_ONE - GR_ONE
+    assert repr(GR_ZERO) == "GaussianRational(re=Fraction(0, 1), im=Fraction(0, 1))"
+    assert GR_ONE != 1 and GR_ONE != Fraction(1)
+
+
+def test_scalar_refuses_floats_and_is_immutable():
+    x = GaussianRational.of(1, 2)
+    for bad in (lambda: GaussianRational.of(0.5), lambda: GaussianRational.of(1, 0.5),
+                lambda: GaussianRational(1.0), lambda: x.scale(0.5)):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational.ratio(1, 0)
+    for name in ("re", "im", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, Fraction(3))
+    assert x == GaussianRational.of(1, 2)
+
+
+def test_poly_scale_by_gaussian_scales_each_coefficient():
+    rng = random.Random(11)
+    for _ in range(20):
+        f = _random_poly(rng)
+        c = GaussianRational.of(Fraction(rng.randint(-4, 4), rng.randint(1, 5)), rng.randint(-3, 3))
+        assert f.scale(c) == LaurentPoly.from_dict("v", {n: c * coeff for n, coeff in f.terms})
 
 
 def test_sum_and_product_match_hand_expansion():
