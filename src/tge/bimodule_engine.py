@@ -20,12 +20,17 @@ from operator import attrgetter
 
 from .errors import NormalizationError
 from .graph_core import CircleEdge, CircleGraph, Symbol, walk_words
-from .laurent_algebra import GaussianRational, LaurentPoly
+from .laurent_algebra import LaurentPoly, _collect
 
 
 @dataclass(frozen=True)
 class BimoduleVector:
-    """Per-edge Laurent components, each tagged by a normalization flag."""
+    """Per-edge Laurent components, each tagged by a normalization flag.
+
+    components are (edge, flag, polynomial) triples sorted by edge name,
+    with no zero polynomial, each polynomial on its own edge's circle.
+    build establishes that form; +, the actions and scale keep it.
+    """
 
     graph: CircleGraph
     components: tuple[tuple[str, bool, LaurentPoly], ...]
@@ -53,20 +58,25 @@ class BimoduleVector:
         return not self.components
 
     def __add__(self, other: "BimoduleVector") -> "BimoduleVector":
-        if self.graph != other.graph:
+        g = self.graph
+        if other.graph is not g and other.graph != g:
             raise ValueError("vectors over different graphs")
+        if not self.components:
+            return other
         parts: dict[str, tuple[bool, LaurentPoly]] = {e: (f, p) for e, f, p in self.components}
         for e, f, p in other.components:
-            if e in parts:
-                f0, p0 = parts[e]
-                if f0 != f:
-                    raise NormalizationError(
-                        f"edge {e!r}: cannot add a normalized and an unnormalized component"
-                    )
-                parts[e] = (f0, p0 + p)
-            else:
+            got = parts.get(e)
+            if got is None:
                 parts[e] = (f, p)
-        return BimoduleVector.build(self.graph, parts)
+            elif got[0] != f:
+                raise NormalizationError(
+                    f"edge {e!r}: cannot add a normalized and an unnormalized component"
+                )
+            else:
+                parts[e] = (f, got[1] + p)
+        return BimoduleVector(
+            g, tuple((e, f, p) for e, (f, p) in sorted(parts.items()) if p.terms)
+        )
 
     def scale(self, c) -> "BimoduleVector":
         return BimoduleVector.build(
@@ -86,14 +96,23 @@ class BimoduleVector:
         return self._act(f, attrgetter("source", "p"))
 
     def _act(self, f: LaurentPoly, endpoint) -> "BimoduleVector":
-        """Act through endpoint(e) = (vertex, power) of each component's edge."""
-        parts = {}
+        """Act through endpoint(e) = (vertex, power) of each component's edge.
+
+        The component x_e becomes x_e(z) f(z^power) = sum c d z^(n + power m)
+        over the terms c z^n of x_e and d z^m of f.
+        """
+        g = self.graph
+        comps = []
         for name, flag, poly in self.components:
-            vertex, power = endpoint(self.graph.edge_named(name))
+            vertex, power = endpoint(g.edge_named(name))
             if vertex != f.vertex:
                 continue
-            parts[name] = (flag, poly * f.substitute_power(power).with_vertex(name))
-        return BimoduleVector.build(self.graph, parts)
+            coeffs: dict = {}
+            _transfer_sum(coeffs, poly.terms, f.terms, power, 1)
+            moved = _collect(name, coeffs)
+            if moved.terms:
+                comps.append((name, flag, moved))
+        return BimoduleVector(g, tuple(comps))
 
 
 def basis_vector(g: CircleGraph, sym: Symbol) -> BimoduleVector:
@@ -117,18 +136,38 @@ def monomial_vector(g: CircleGraph, edge: str, exponent: int,
     )
 
 
+def _transfer_sum(coeffs: dict, xs, ys, power: int, p: int) -> None:
+    """Add sum c d z^((n + power m)/p), over pairs with p | n + power m, to coeffs.
+
+    xs and ys are (exponent, coefficient) terms c z^n and d z^m.  This is
+    the one kernel behind inner (power 1, p = p(e)) and the module actions
+    (p = 1); it never builds an intermediate polynomial.
+    """
+    for n, c in xs:
+        for m, d in ys:
+            k = n + power * m
+            if p != 1:
+                if k % p:
+                    continue
+                k //= p
+            t = c * d
+            coeffs[k] = coeffs[k] + t if k in coeffs else t
+
+
 def inner(x: BimoduleVector, y: BimoduleVector) -> dict[str, LaurentPoly]:
     """Transfer-valued inner product, conjugate-linear in the first slot.
 
     Returns one Laurent polynomial per vertex v: the sum over edges with
-    source v of transfer(adjoint(x_e) * y_e, p(e)).  Normalization flags
-    resolve within each shared edge: two flags give the exact factor
-    1/p(e); a single unmatched flag cannot be resolved exactly and raises.
+    source v of transfer(adjoint(x_e) * y_e, p(e)), which is
+    sum conj(c) d p z^((m - n)/p) over terms c z^n of x_e and d z^m of y_e
+    with p | m - n.  Normalization flags resolve within each shared edge:
+    two flags give the exact factor 1/p(e), which cancels transfer's p; a
+    single unmatched flag cannot be resolved exactly and raises.
     """
-    if x.graph != y.graph:
-        raise ValueError("vectors over different graphs")
     g = x.graph
-    out = {v: LaurentPoly.zero(v) for v in g.vertices}
+    if y.graph is not g and y.graph != g:
+        raise ValueError("vectors over different graphs")
+    sums: dict[str, dict] = {v: {} for v in g.vertices}
     ybyedge = {e: (f, p) for e, f, p in y.components}
     for name, xflag, xpoly in x.components:
         got = ybyedge.get(name)
@@ -136,15 +175,17 @@ def inner(x: BimoduleVector, y: BimoduleVector) -> dict[str, LaurentPoly]:
             continue
         yflag, ypoly = got
         e = g.edge_named(name)
-        term = (xpoly.adjoint() * ypoly).transfer(e.p).with_vertex(e.source)
-        if xflag and yflag:
-            term = term.scale(GaussianRational.ratio(1, e.p))
-        elif xflag or yflag:
+        p = e.p
+        if xflag != yflag:
             raise NormalizationError(
-                f"edge {name!r}: inner product leaves an unresolved 1/sqrt({e.p}) factor"
+                f"edge {name!r}: inner product leaves an unresolved 1/sqrt({p}) factor"
             )
-        out[e.source] = out[e.source] + term
-    return out
+        if xflag:
+            xs = [(-n, c.conjugate()) for n, c in xpoly.terms]
+        else:
+            xs = [(-n, c.conjugate().scale(p)) for n, c in xpoly.terms]
+        _transfer_sum(sums[e.source], xs, ypoly.terms, 1, p)
+    return {v: _collect(v, c) for v, c in sums.items()}
 
 
 def act_left_monomial(g: CircleGraph, vertex: str, exponent: int,
@@ -201,6 +242,8 @@ def verify_basis(g: CircleGraph, max_exponent: int | None = None) -> BasisReport
         raise ValueError(f"max_exponent must be a non-negative int, got {max_exponent!r}")
     syms = g.symbols()
     basis = {s: basis_vector(g, s) for s in syms}
+    zero = {v: LaurentPoly.zero(v) for v in g.vertices}
+    one = {v: LaurentPoly.one(v) for v in g.vertices}
     failures: list[str] = []
     ortho = 0
     for si in syms:
@@ -209,7 +252,7 @@ def verify_basis(g: CircleGraph, max_exponent: int | None = None) -> BasisReport
             ortho += 1
             fam = inner(basis[si], basis[sj])
             for v, poly in fam.items():
-                want = LaurentPoly.one(v) if (si == sj and v == ei.source) else LaurentPoly.zero(v)
+                want = one[v] if (si == sj and v == ei.source) else zero[v]
                 if poly != want:
                     failures.append(
                         f"inner({si}, {sj}) at vertex {v!r}: got {poly}, want {want}"

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 
 def _parts(x) -> tuple[int, int]:
@@ -165,10 +166,28 @@ GR_ONE = GaussianRational(1)
 _GR_MINUS_ONE = -GR_ONE
 
 
+def _is_negative_real(c: GaussianRational) -> bool:
+    """c is real and below zero, read off the triple."""
+    return not c._b and c._a < 0
+
+
 def _coerce_coeff(c) -> GaussianRational:
     if isinstance(c, GaussianRational):
         return c
     return GaussianRational(c)
+
+
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+
+def _exponent(n) -> int:
+    """n as a plain int; anything else (bool included) is a TypeError."""
+    if n.__class__ is int:
+        return n
+    if isinstance(n, int) and not isinstance(n, bool):
+        return int(n)
+    raise TypeError(f"exponents are ints, got {n!r} ({type(n).__name__})")
 
 
 @dataclass(frozen=True)
@@ -176,8 +195,12 @@ class LaurentPoly:
     """Finite Laurent polynomial attached to one vertex circle.
 
     terms are (exponent, coefficient) pairs, strictly increasing in
-    exponent, with no zero coefficients.  Mixing vertices in add/mul is an
-    error: functions on different circles have no common domain.
+    exponent, with no zero coefficients.  Every operation keeps that
+    form by construction and builds its result through _poly; only
+    from_dict sorts and filters its input.  Exponents (and the powers of
+    substitute_power and transfer) must be ints; a bool is refused.  Mixing
+    vertices in add/mul is an error: functions on different circles have
+    no common domain.
     """
 
     vertex: str
@@ -185,33 +208,36 @@ class LaurentPoly:
 
     @classmethod
     def from_dict(cls, vertex: str, coeffs: dict) -> "LaurentPoly":
+        """{exponent: coefficient}; exponents must be ints (not bools)."""
         items = []
         for n, c in coeffs.items():
+            n = _exponent(n)
             c = _coerce_coeff(c)
             if c:
-                items.append((int(n), c))
-        items.sort(key=lambda t: t[0])
+                items.append((n, c))
+        items.sort(key=_first)
         return cls(vertex, tuple(items))
 
     @classmethod
     def zero(cls, vertex: str) -> "LaurentPoly":
-        return cls(vertex, ())
+        return _poly(vertex, ())
 
     @classmethod
     def one(cls, vertex: str) -> "LaurentPoly":
-        return cls.monomial(vertex, 0)
+        return _poly(vertex, ((0, GR_ONE),))
 
     @classmethod
     def generator(cls, vertex: str) -> "LaurentPoly":
         """The coordinate function z on the given vertex circle."""
-        return cls.monomial(vertex, 1)
+        return _poly(vertex, ((1, GR_ONE),))
 
     @classmethod
     def monomial(cls, vertex: str, exponent: int, coeff=GR_ONE) -> "LaurentPoly":
+        exponent = _exponent(exponent)
         c = _coerce_coeff(coeff)
         if not c:
-            return cls(vertex, ())
-        return cls(vertex, ((exponent, c),))
+            return _poly(vertex, ())
+        return _poly(vertex, ((exponent, c),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -227,11 +253,34 @@ class LaurentPoly:
             raise ValueError(f"vertex mismatch: {self.vertex!r} vs {other.vertex!r}")
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Merge of the two sorted term tuples."""
         self._check_vertex(other)
-        coeffs: dict[int, GaussianRational] = dict(self.terms)
-        for n, c in other.terms:
-            coeffs[n] = coeffs.get(n, GR_ZERO) + c
-        return LaurentPoly.from_dict(self.vertex, coeffs)
+        a, b = self.terms, other.terms
+        if not a:
+            return other
+        if not b:
+            return self
+        out = []
+        i = j = 0
+        la, lb = len(a), len(b)
+        while i < la and j < lb:
+            n, c = a[i]
+            m, d = b[j]
+            if n < m:
+                out.append(a[i])
+                i += 1
+            elif m < n:
+                out.append(b[j])
+                j += 1
+            else:
+                s = c + d
+                if s:
+                    out.append((n, s))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return _poly(self.vertex, tuple(out))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + other.scale(-1)
@@ -241,42 +290,38 @@ class LaurentPoly:
         coeffs: dict[int, GaussianRational] = {}
         for n, c in self.terms:
             for m, d in other.terms:
-                k = n + m
-                coeffs[k] = coeffs.get(k, GR_ZERO) + c * d
-        return LaurentPoly.from_dict(self.vertex, coeffs)
+                k, t = n + m, c * d
+                coeffs[k] = coeffs[k] + t if k in coeffs else t
+        return _collect(self.vertex, coeffs)
 
     def scale(self, c) -> "LaurentPoly":
         c = _coerce_coeff(c)
         if not c:
-            return LaurentPoly.zero(self.vertex)
-        return LaurentPoly(self.vertex, tuple((n, cc * c) for n, cc in self.terms))
+            return _poly(self.vertex, ())
+        return _poly(self.vertex, tuple((n, cc * c) for n, cc in self.terms))
 
     def adjoint(self) -> "LaurentPoly":
         """Pointwise complex conjugate: z^n -> conj(c) z^{-n}."""
-        return LaurentPoly(
-            self.vertex,
-            tuple(sorted(((-n, c.conjugate()) for n, c in self.terms), key=lambda t: t[0])),
-        )
+        return _poly(self.vertex, tuple((-n, c.conjugate()) for n, c in reversed(self.terms)))
 
     def substitute_power(self, m: int) -> "LaurentPoly":
         """Precompose with z -> z^m (m != 0): z^n -> z^{m n}."""
+        m = _exponent(m)
         if m == 0:
             raise ValueError("substitution power must be nonzero")
-        return LaurentPoly(
-            self.vertex,
-            tuple(sorted(((m * n, c) for n, c in self.terms), key=lambda t: t[0])),
-        )
+        terms = self.terms if m > 0 else reversed(self.terms)
+        return _poly(self.vertex, tuple((m * n, c) for n, c in terms))
 
     def transfer(self, p: int) -> "LaurentPoly":
         """Sum over the p preimages of z -> z^p: z^n -> p z^{n/p} if p | n, else 0."""
+        p = _exponent(p)
         if p < 1:
             raise ValueError(f"transfer degree must be >= 1, got {p}")
-        kept = [(n // p, c.scale(p)) for n, c in self.terms if n % p == 0]
-        return LaurentPoly(self.vertex, tuple(kept))
+        return _poly(self.vertex, tuple((n // p, c.scale(p)) for n, c in self.terms if not n % p))
 
     def with_vertex(self, vertex: str) -> "LaurentPoly":
         """Reinterpret the same coefficient data on another circle."""
-        return LaurentPoly(vertex, self.terms)
+        return _poly(vertex, self.terms)
 
     def evaluate(self, z: complex) -> complex:
         return sum((c.to_complex() * z**n for n, c in self.terms), 0j)
@@ -301,3 +346,21 @@ class LaurentPoly:
             else:
                 parts.append(f"{c}*{head}")
         return " + ".join(parts)
+
+
+_set = object.__setattr__
+
+
+def _poly(vertex: str, terms: tuple) -> LaurentPoly:
+    """The polynomial with these terms, already canonical (sorted, no zeros)."""
+    x = _new(LaurentPoly)
+    _set(x, "vertex", vertex)
+    _set(x, "terms", terms)
+    return x
+
+
+def _collect(vertex: str, coeffs: dict) -> LaurentPoly:
+    """The polynomial sum c z^n over {n: c} with int n; zeros are dropped."""
+    if not coeffs:
+        return _poly(vertex, ())
+    return _poly(vertex, tuple(sorted(filter(_second, coeffs.items()))))

@@ -53,7 +53,9 @@ from .bimodule_engine import (
 )
 from .errors import ExpressionSyntaxError
 from .graph_core import CircleGraph, Symbol
-from .laurent_algebra import GR_ONE, GaussianRational, LaurentPoly, _coerce_coeff
+from .laurent_algebra import (
+    GR_ONE, GaussianRational, LaurentPoly, _coerce_coeff, _is_negative_real,
+)
 
 Atom = tuple  # ("S", Symbol) | ("S*", Symbol) | ("fn", LaurentPoly)
 
@@ -731,7 +733,7 @@ def parse_expression(text: str, g: CircleGraph) -> MonomialSum:
 
 def _render_monomial(vertex: str, n: int, c: GaussianRational) -> tuple[bool, str]:
     """One c*u(v)^n factor; returns (negative, body) with |c| in the body."""
-    negative = c.im == 0 and c.re < 0
+    negative = _is_negative_real(c)
     if negative:
         c = -c
     if n == 0:

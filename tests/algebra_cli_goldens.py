@@ -1,8 +1,11 @@
-"""Byte goldens for the algebra subcommands `rewrite` and `verify-basis`.
+"""Byte goldens for every CLI subcommand.
 
-RUNS covers both subcommands, in json and text, on every graph file under
-tests/fixtures and on one two-vertex graph written out below, plus fixed
-rewrite expressions in the style of the benchmark's anchors.  Each run
+The run list covers the algebra subcommands `rewrite` and `verify-basis`,
+in json and text, on every graph file under tests/fixtures and on one
+two-vertex graph written out below, plus fixed rewrite expressions in the
+style of the benchmark's anchors.  It also covers `analyze`, `loops`,
+`conjecture` (each with --kmax 10) and `spectra` (which has no --kmax), in
+json, text and csv, on the same graph files.  Each run
 calls tge.cli.main in-process from a scratch directory holding copies of
 the graphs, so file names in messages carry no checkout path.  A run's
 digest is the SHA-256 of the JSON list [exit code, stdout, stderr].
@@ -68,6 +71,10 @@ def runs(names) -> list[list[str]]:
         for fmt in ("json", "text"):
             out.append(["verify-basis", name, "--format", fmt])
             out.append(["rewrite", name, "-e", GENERIC, "--format", fmt])
+        for fmt in ("json", "text", "csv"):
+            for cmd in ("analyze", "loops", "conjecture"):
+                out.append([cmd, name, "--kmax", "10", "--format", fmt])
+            out.append(["spectra", name, "--format", fmt])
     for name, expr in EXPRESSIONS:
         for fmt in ("json", "text"):
             out.append(["rewrite", name, "-e", expr, "--format", fmt])

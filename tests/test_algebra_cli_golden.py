@@ -1,4 +1,4 @@
-"""Byte goldens of the algebra CLI.
+"""Byte goldens of the CLI.
 
 Claims covered here:
 
@@ -6,8 +6,10 @@ Claims covered here:
   code, stdout and stderr bytes as when algebra_cli_digests.json was
   written, on every fixture graph, a two-vertex graph and fixed rewrite
   expressions (negative denominators, u(v)^0, products of four sums, a
-  syntax error); see algebra_cli_goldens.py for the run list and the
-  script that rewrites the digests
+  syntax error)
+- so do `analyze`, `loops` and `conjecture` at --kmax 10, and `spectra`,
+  in json, text and csv, on the same graphs; see algebra_cli_goldens.py
+  for the run list and the script that rewrites the digests
 """
 
 import json

@@ -9,12 +9,18 @@ Claims covered here:
 - the closed form for a monomial acting on a generator matches the action
 - the left action is adjointable and the inner product is right-linear
 - flag mismatches raise instead of losing normalization factors
+- inner, act_left, act_right and vector + equal the composition of public
+  LaurentPoly operations (adjoint, *, transfer, substitute_power,
+  with_vertex, scale, +) on random flagged, unflagged and mixed vectors
+  over one- and two-vertex graphs, multi-edge included; inner has a
+  polynomial at every vertex, every result is canonical, and mixed flags
+  raise exactly where the composition raises
 - verify_basis passes on every fixture graph, detects a dropped generator
   and pairs each test vector only with its own edge's generators; a
   max_exponent that is not a non-negative int raises instead of passing
   with no reconstruction checks
-- verify_basis and normalize construct no Fraction: their coefficient
-  arithmetic runs on the integer-backed scalar
+- verify_basis, normalize and render_sum construct no Fraction: their
+  coefficient arithmetic and sign tests run on the integer-backed scalar
 - admissible symbol words count via symbol-adjacency powers
 - Laurent matrices enforce localization, form a *-algebra, and the
   one-level embedding is an injective unital *-homomorphism on blocks
@@ -29,6 +35,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURES, fixture_graphs, heavy_loop_graph, two_cycle_graph
+from tge import CircleGraph
 from tge.bimodule_engine import (
     BimoduleVector,
     LaurentMatrix,
@@ -155,6 +162,111 @@ def test_flag_mismatch_raises(two_loops):
     assert not (flagged + other).is_zero()
 
 
+def _inner_by_composition(x, y):
+    """inner as transfer(adjoint(x_e) * y_e, p) summed per source vertex."""
+    g = x.graph
+    out = {v: LaurentPoly.zero(v) for v in g.vertices}
+    ys = {e: (f, p) for e, f, p in y.components}
+    for name, xflag, xpoly in x.components:
+        if name not in ys:
+            continue
+        yflag, ypoly = ys[name]
+        e = g.edge_named(name)
+        term = (xpoly.adjoint() * ypoly).transfer(e.p).with_vertex(e.source)
+        if xflag and yflag:
+            term = term.scale(GaussianRational.ratio(1, e.p))
+        elif xflag or yflag:
+            raise NormalizationError(name)
+        out[e.source] = out[e.source] + term
+    return out
+
+
+def _act_by_composition(x, f, left):
+    """x_e * f(z^power) on the edge circle, power q(e) via r(e) or p(e) via s(e)."""
+    parts = {}
+    for name, flag, poly in x.components:
+        e = x.graph.edge_named(name)
+        vertex, power = (e.range, e.q) if left else (e.source, e.p)
+        if vertex == f.vertex:
+            parts[name] = (flag, poly * f.substitute_power(power).with_vertex(name))
+    return BimoduleVector.build(x.graph, parts)
+
+
+def _add_by_composition(x, y):
+    parts = {e: (f, p) for e, f, p in x.components}
+    for e, f, p in y.components:
+        if e in parts:
+            if parts[e][0] != f:
+                raise NormalizationError(e)
+            parts[e] = (f, parts[e][1] + p)
+        else:
+            parts[e] = (f, p)
+    return BimoduleVector.build(x.graph, parts)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NormalizationError:
+        return NormalizationError
+
+
+def _canonical_poly(poly, vertex):
+    exps = [n for n, _ in poly.terms]
+    return (poly.vertex == vertex and all(c for _, c in poly.terms)
+            and all(a < b for a, b in zip(exps, exps[1:])))
+
+
+def _canonical_vector(x):
+    names = [e for e, _, _ in x.components]
+    return (names == sorted(set(names))
+            and all(p.terms and _canonical_poly(p, e) for e, _, p in x.components))
+
+
+def _flagged_vector(rng, g, mode):
+    parts = {}
+    for e in g.edges:
+        if rng.random() < 0.75:
+            flag = rng.random() < 0.5 if mode == "mixed" else mode == "flagged"
+            parts[e.name] = (flag, _rand_poly(rng, e.name))
+    return BimoduleVector.build(g, parts)
+
+
+MULTI_EDGE = CircleGraph.build(["v", "w"], [
+    ("a", "v", "w", 2, 1), ("b", "v", "w", 3, -2), ("c", "w", "v", 1, 1),
+    ("d", "v", "v", 2, 3), ("e", "w", "w", 4, -1),
+])
+
+
+@pytest.mark.parametrize("g", [fixture_graphs()["two_loops"], two_cycle_graph(), MULTI_EDGE],
+                         ids=["two_loops", "two_cycle", "multi_edge"])
+def test_fused_kernels_equal_the_composition(g):
+    rng = random.Random(23)
+    raised = 0
+    for _ in range(150):
+        x = _flagged_vector(rng, g, rng.choice(["flagged", "unflagged", "mixed"]))
+        y = _flagged_vector(rng, g, rng.choice(["flagged", "unflagged", "mixed"]))
+        want = _outcome(_inner_by_composition, x, y)
+        got = _outcome(inner, x, y)
+        assert got == want
+        if got is NormalizationError:
+            raised += 1
+        else:
+            assert list(got) == list(g.vertices)
+            assert all(_canonical_poly(p, v) for v, p in got.items())
+        f = _rand_poly(rng, rng.choice(g.vertices))
+        if rng.random() < 0.2:
+            f = LaurentPoly.zero(f.vertex)
+        for left in (True, False):
+            moved = x.act_left(f) if left else x.act_right(f)
+            assert moved == _act_by_composition(x, f, left)
+            assert _canonical_vector(moved)
+        total = _outcome(lambda a, b: a + b, x, y)
+        assert total == _outcome(_add_by_composition, x, y)
+        assert total is NormalizationError or _canonical_vector(total)
+    assert 0 < raised < 150
+
+
 def test_inner_additive(two_loops):
     x = basis_vector(two_loops, Symbol("e1", 1))
     doubled = x + x
@@ -227,7 +339,9 @@ def test_normalize_constructs_no_fraction(two_loops):
         "*(S(e1,2) + S*(e2,1) + 3)*(u(v)^2 + S*(e1,1) + -5/6)", two_loops)
     nf, made = fraction_count(normalize, x, two_loops)
     assert made == 0
-    assert render_sum(nf).startswith("(-5/2*u(v)^0 - 25/12*u(v) + 3*u(v)^2")
+    text, made = fraction_count(render_sum, nf)
+    assert made == 0
+    assert text.startswith("(-5/2*u(v)^0 - 25/12*u(v) + 3*u(v)^2")
     assert fraction_count(Fraction, 1, 3)[1] == 1  # the counter does count
 
 

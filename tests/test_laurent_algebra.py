@@ -17,6 +17,12 @@ Claims covered here:
   constants by the covering degree, satisfies the conditional-expectation
   identity, is positive, and agrees with numerical fiber sums on the circle
 - rendering uses the chosen variable name and exact coefficient forms
+- exponents are ints: from_dict, monomial, substitute_power and transfer
+  refuse floats, Fractions, strings and bools with TypeError instead of
+  truncating them into a non-canonical polynomial
+- +, *, adjoint, substitute_power (either sign), transfer and scale return
+  canonical terms (strictly increasing exponents, no zero coefficient),
+  equal to the same result built by from_dict from a dict of coefficients
 """
 
 import cmath
@@ -272,3 +278,67 @@ def test_ring_identities(f, g, h):
     assert (f + g) * h == f * h + g * h
     assert f * g == g * f
     assert (f + g).adjoint() == f.adjoint() + g.adjoint()
+
+
+class _Exp(int):
+    """An int subclass: accepted as an exponent and stored as a plain int."""
+
+
+def test_exponents_must_be_ints():
+    for bad in (0.5, 0.7, 1.0, Fraction(1, 2), Fraction(2), "1", None, True, False):
+        with pytest.raises(TypeError, match="exponent"):
+            LaurentPoly.from_dict("v", {bad: 1})
+        with pytest.raises(TypeError, match="exponent"):
+            LaurentPoly.monomial("v", bad)
+        with pytest.raises(TypeError, match="exponent"):
+            LaurentPoly.generator("v").substitute_power(bad)
+        with pytest.raises(TypeError, match="exponent"):
+            LaurentPoly.one("v").transfer(bad)
+    # both keys used to truncate to 0, leaving two z^0 terms unequal to 2 z^0
+    with pytest.raises(TypeError):
+        LaurentPoly.from_dict("v", {0.5: 1, 0.7: 1})
+    f = LaurentPoly.from_dict("v", {_Exp(2): 1, -1: 3})
+    assert f == _poly({2: (1, 0), -1: (3, 0)})
+    assert all(type(n) is int for n, _ in f.terms)
+    assert LaurentPoly.monomial("v", _Exp(3)).terms[0][0].__class__ is int
+
+
+def _is_canonical(f: LaurentPoly) -> bool:
+    exps = [n for n, _ in f.terms]
+    return (all(type(n) is int for n in exps)
+            and all(a < b for a, b in zip(exps, exps[1:]))
+            and all(c for _, c in f.terms))
+
+
+def _sums(pairs) -> dict:
+    out: dict = {}
+    for n, c in pairs:
+        out[n] = out.get(n, GR_ZERO) + c
+    return out
+
+
+gauss_st = st.tuples(coeff_st, coeff_st).map(lambda t: GaussianRational.of(*t))
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_st, poly_st, st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=4), gauss_st)
+def test_operations_return_canonical_terms(f, g, m, p, c):
+    def from_pairs(pairs):
+        return LaurentPoly.from_dict("v", _sums(pairs))
+
+    expected = {
+        "+": (f + g, from_pairs(f.terms + g.terms)),
+        "+ cancelling": (f + (g - f), g),
+        "*": (f * g, from_pairs((n + k, a * b) for n, a in f.terms for k, b in g.terms)),
+        "adjoint": (f.adjoint(), from_pairs((-n, a.conjugate()) for n, a in f.terms)),
+        "substitute +": (f.substitute_power(m), from_pairs((m * n, a) for n, a in f.terms)),
+        "substitute -": (f.substitute_power(-m), from_pairs((-m * n, a) for n, a in f.terms)),
+        "transfer": (f.transfer(p), from_pairs(
+            (n // p, a * GaussianRational.of(p)) for n, a in f.terms if n % p == 0)),
+        "scale": (f.scale(c), from_pairs((n, a * c) for n, a in f.terms)),
+        "scale 0": (f.scale(0), LaurentPoly.zero("v")),
+    }
+    for name, (got, want) in expected.items():
+        assert _is_canonical(got), (name, got.terms)
+        assert got == want, name
