@@ -11,6 +11,14 @@ The standard generating family has one vector per sheet symbol (e, k): the
 flagged monomial z^{k-1} on edge e.  Its defining properties, checked by
 verify_basis, are orthonormality under the transfer inner product and
 reconstruction of every monomial vector from its coordinates.
+
+One per-edge kernel, _edge_pair, pairs two components on a shared edge:
+it resolves the flags and sums transfer(adjoint(x_e) * y_e, p(e)) term by
+term through _transfer_sum, the formula the module actions use too.
+inner is a loop of it over shared edges.  verify_basis and psi_embed call
+it directly on each generator's terms, read once: every Gram entry and
+every (sheet, test vector) pair is still evaluated, but no vector is
+built for a pair.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from operator import attrgetter
 
 from .errors import NormalizationError
 from .graph_core import CircleEdge, CircleGraph, Symbol, walk_words
-from .laurent_algebra import LaurentPoly, _collect
+from .laurent_algebra import GR_ONE, LaurentPoly, _collect, _poly
 
 
 @dataclass(frozen=True)
@@ -154,37 +162,54 @@ def _transfer_sum(coeffs: dict, xs, ys, power: int, p: int) -> None:
             coeffs[k] = coeffs[k] + t if k in coeffs else t
 
 
+def _adjoint_terms(poly: LaurentPoly) -> list:
+    """The terms conj(c) z^(-n) of poly's adjoint, the left slot of _edge_pair."""
+    return [(-n, c.conjugate()) for n, c in poly.terms]
+
+
+def _pairing_data(x: BimoduleVector) -> dict[str, tuple[bool, list, tuple]]:
+    """{edge: (flag, adjoint terms, terms)} of x's components, read once."""
+    return {name: (flag, _adjoint_terms(poly), poly.terms) for name, flag, poly in x.components}
+
+
+def _edge_pair(coeffs: dict, name: str, p: int, xflag: bool, xs, yflag: bool, ys) -> None:
+    """Add one edge's share of an inner product to the source vertex's coeffs.
+
+    xs are the adjoint terms of x_e and ys the terms of y_e on an edge of
+    degree p: the share is transfer(adjoint(x_e) * y_e, p), times 1/p when
+    both components are flagged.  That factor cancels transfer's p, so
+    only unflagged pairs are scaled; a single unmatched flag cannot be
+    resolved exactly and raises.
+    """
+    if xflag != yflag:
+        raise NormalizationError(
+            f"edge {name!r}: inner product leaves an unresolved 1/sqrt({p}) factor"
+        )
+    if not xflag:
+        xs = [(n, c.scale(p)) for n, c in xs]
+    _transfer_sum(coeffs, xs, ys, 1, p)
+
+
 def inner(x: BimoduleVector, y: BimoduleVector) -> dict[str, LaurentPoly]:
     """Transfer-valued inner product, conjugate-linear in the first slot.
 
     Returns one Laurent polynomial per vertex v: the sum over edges with
     source v of transfer(adjoint(x_e) * y_e, p(e)), which is
     sum conj(c) d p z^((m - n)/p) over terms c z^n of x_e and d z^m of y_e
-    with p | m - n.  Normalization flags resolve within each shared edge:
-    two flags give the exact factor 1/p(e), which cancels transfer's p; a
-    single unmatched flag cannot be resolved exactly and raises.
+    with p | m - n.  Each shared edge goes through _edge_pair, which
+    resolves the normalization flags.
     """
     g = x.graph
     if y.graph is not g and y.graph != g:
         raise ValueError("vectors over different graphs")
     sums: dict[str, dict] = {v: {} for v in g.vertices}
-    ybyedge = {e: (f, p) for e, f, p in y.components}
+    ybyedge = {e: (f, p.terms) for e, f, p in y.components}
     for name, xflag, xpoly in x.components:
         got = ybyedge.get(name)
         if got is None:
             continue
-        yflag, ypoly = got
         e = g.edge_named(name)
-        p = e.p
-        if xflag != yflag:
-            raise NormalizationError(
-                f"edge {name!r}: inner product leaves an unresolved 1/sqrt({p}) factor"
-            )
-        if xflag:
-            xs = [(-n, c.conjugate()) for n, c in xpoly.terms]
-        else:
-            xs = [(-n, c.conjugate().scale(p)) for n, c in xpoly.terms]
-        _transfer_sum(sums[e.source], xs, ypoly.terms, 1, p)
+        _edge_pair(sums[e.source], name, e.p, xflag, _adjoint_terms(xpoly), *got)
     return {v: _collect(v, c) for v, c in sums.items()}
 
 
@@ -234,6 +259,11 @@ def verify_basis(g: CircleGraph, max_exponent: int | None = None) -> BasisReport
     nothing).  (Flagged test vectors are equivalent to plain ones:
     reconstruction is linear and each edge scale factor is a nonzero
     constant, but flagged vectors keep every coefficient rational.)
+
+    Each generator's pairing data is read once from basis_vector.  A Gram
+    entry sends each shared edge through _edge_pair; an entry with none is
+    zero, as in inner.  A frame sum is _frame_sum.  The report equals the
+    one built from inner, act_right and vector + pair by pair.
     """
     g.require_valid()
     if max_exponent is None:
@@ -241,33 +271,75 @@ def verify_basis(g: CircleGraph, max_exponent: int | None = None) -> BasisReport
     elif type(max_exponent) is not int or max_exponent < 0:
         raise ValueError(f"max_exponent must be a non-negative int, got {max_exponent!r}")
     syms = g.symbols()
-    basis = {s: basis_vector(g, s) for s in syms}
-    zero = {v: LaurentPoly.zero(v) for v in g.vertices}
-    one = {v: LaurentPoly.one(v) for v in g.vertices}
+    gens = {s: _pairing_data(basis_vector(g, s)) for s in syms}
     failures: list[str] = []
-    ortho = 0
+    one = ((0, GR_ONE),)
     for si in syms:
-        ei = g.edge_named(si.edge)
+        xi = gens[si]
+        home = g.edge_named(si.edge).source
         for sj in syms:
-            ortho += 1
-            fam = inner(basis[si], basis[sj])
-            for v, poly in fam.items():
-                want = one[v] if (si == sj and v == ei.source) else zero[v]
-                if poly != want:
-                    failures.append(
-                        f"inner({si}, {sj}) at vertex {v!r}: got {poly}, want {want}"
-                    )
-    recon = 0
+            # inner(xi_i, xi_j): only shared edges reach the kernel
+            sums: dict[str, dict] = {}
+            for name, (yflag, _, ys) in gens[sj].items():
+                got = xi.get(name)
+                if got is not None:
+                    e = g.edge_named(name)
+                    _edge_pair(sums.setdefault(e.source, {}), name, e.p, got[0], got[1], yflag, ys)
+            if si != sj and not any(sums.values()):
+                continue
+            for v in g.vertices:
+                want = one if (si == sj and v == home) else ()
+                poly = _collect(v, sums.get(v, {}))
+                if poly.terms != want:
+                    failures.append(f"inner({si}, {sj}) at vertex {v!r}: got {poly}, "
+                                    f"want {_poly(v, want)}")
     for e in g.edges:
+        sheets = [gens[s] for s in _edge_sheets(e)]
         for m in range(-max_exponent, max_exponent + 1):
-            recon += 1
-            eta = monomial_vector(g, e.name, m, normalized=True)
-            total = BimoduleVector.zero(g)
-            for s in _edge_sheets(e):
-                total = total + basis[s].act_right(inner(basis[s], eta)[e.source])
-            if total != eta:
+            eta = ((m, GR_ONE),)
+            if _frame_sum(g, e, sheets, eta) != [(e.name, True, eta)]:
                 failures.append(f"reconstruction failed for z^{m} on edge {e.name!r}")
+    ortho = len(syms) ** 2
+    recon = len(g.edges) * (2 * max_exponent + 1)
     return BasisReport(not failures, ortho, recon, tuple(failures))
+
+
+def _frame_sum(g: CircleGraph, e: CircleEdge, sheets, eta) -> list:
+    """Nonzero (edge, flag, terms) of sum_xi xi . inner(xi, eta), in edge order.
+
+    eta is the terms of a flagged vector on e and sheets the pairing data
+    of e's generators.  Each coefficient inner(xi, eta) at s(e) goes
+    through _edge_pair, and xi times it through _transfer_sum with
+    act_right's power p; like vector +, the running sum raises on mixing
+    flags on an edge where it is nonzero.
+    """
+    total: dict[str, tuple[bool, dict]] = {}
+    for xi in sheets:
+        got = xi.get(e.name)
+        if got is None:
+            continue
+        coeff: dict = {}
+        _edge_pair(coeff, e.name, e.p, got[0], got[1], True, eta)
+        if not coeff:
+            continue
+        for name, (flag, _, xs) in xi.items():
+            f = g.edge_named(name)
+            if f.source != e.source:
+                continue
+            acc = total.get(name)
+            if acc is None or (acc[0] != flag and not any(acc[1].values())):
+                acc = total[name] = (flag, {})
+            elif acc[0] != flag:
+                raise NormalizationError(
+                    f"edge {name!r}: cannot add a normalized and an unnormalized component"
+                )
+            _transfer_sum(acc[1], xs, coeff.items(), f.p, 1)
+    out = []
+    for name, (flag, coeffs) in sorted(total.items()):
+        terms = _collect(name, coeffs).terms
+        if terms:
+            out.append((name, flag, terms))
+    return out
 
 
 def admissible_tuples(g: CircleGraph, length: int) -> tuple[tuple[Symbol, ...], ...]:
@@ -385,14 +457,21 @@ class LaurentMatrix:
         """
         g = self.graph
         basis = {s: basis_vector(g, s) for s in g.symbols()}
+        gens = {s: _pairing_data(x) for s, x in basis.items()}
         ents: dict[tuple, LaurentPoly] = {}
         for i, j, poly in self.entries:
             row, col = self.index[i], self.index[j]
             for sj in g.symbols_into(poly.vertex):
                 e = g.edge_named(sj.edge)
-                moved = basis[sj].act_left(poly)
+                # <xi_i, a . xi_j> at s(e): xi_j and its image live on e only
+                moved = basis[sj].act_left(poly).component(e.name)
+                if moved is None:
+                    continue
                 for si in _edge_sheets(e):
-                    val = inner(basis[si], moved)[e.source]
+                    xflag, xs, _ = gens[si][e.name]
+                    coeffs: dict = {}
+                    _edge_pair(coeffs, e.name, e.p, xflag, xs, moved[0], moved[1].terms)
+                    val = _collect(e.source, coeffs)
                     if val.is_zero():
                         continue
                     key = (row + (si,), col + (sj,))

@@ -5,7 +5,9 @@ in json and text, on every graph file under tests/fixtures and on one
 two-vertex graph written out below, plus fixed rewrite expressions in the
 style of the benchmark's anchors.  It also covers `analyze`, `loops`,
 `conjecture` (each with --kmax 10) and `spectra` (which has no --kmax), in
-json, text and csv, on the same graph files.  Each run
+json, text and csv, on the same graph files.  `verify-basis` alone, in json
+and text, also runs on a one-vertex graph with loops (p, q) = (50, -2) and
+(2, 3), the size of the benchmark's verify-basis requests.  Each run
 calls tge.cli.main in-process from a scratch directory holding copies of
 the graphs, so file names in messages carry no checkout path.  A run's
 digest is the SHA-256 of the JSON list [exit code, stdout, stderr].
@@ -38,6 +40,12 @@ TWO_VERTEX = json.dumps({"vertices": ["v", "w"], "edges": [
     {"name": "f", "source": "v", "range": "w", "p": 2, "q": 1},
     {"name": "h", "source": "w", "range": "v", "p": 1, "q": -1},
     {"name": "l", "source": "v", "range": "v", "p": 1, "q": 2},
+]}, indent=2) + "\n"
+
+# sum p = 52: verify-basis only, the other subcommands add nothing at this size
+BENCH_LOOPS = json.dumps({"vertices": ["v"], "edges": [
+    {"name": "a", "source": "v", "range": "v", "p": 50, "q": -2},
+    {"name": "b", "source": "v", "range": "v", "p": 2, "q": 3},
 ]}, indent=2) + "\n"
 
 # rewritten on every graph file: every fixture has a vertex named v
@@ -78,6 +86,8 @@ def runs(names) -> list[list[str]]:
     for name, expr in EXPRESSIONS:
         for fmt in ("json", "text"):
             out.append(["rewrite", name, "-e", expr, "--format", fmt])
+    for fmt in ("json", "text"):
+        out.append(["verify-basis", "bench_loops.json", "--format", fmt])
     return out
 
 
@@ -94,6 +104,7 @@ def digest_runs(workdir: Path) -> dict[str, str]:
     files = graph_files()
     for name, data in files.items():
         (workdir / name).write_bytes(data)
+    (workdir / "bench_loops.json").write_bytes(BENCH_LOOPS.encode("utf-8"))
     home = os.getcwd()
     os.chdir(workdir)
     try:

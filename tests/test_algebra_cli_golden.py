@@ -6,7 +6,8 @@ Claims covered here:
   code, stdout and stderr bytes as when algebra_cli_digests.json was
   written, on every fixture graph, a two-vertex graph and fixed rewrite
   expressions (negative denominators, u(v)^0, products of four sums, a
-  syntax error)
+  syntax error); `verify-basis` also on a one-vertex graph with loops
+  (50, -2) and (2, 3), the benchmark's size
 - so do `analyze`, `loops` and `conjecture` at --kmax 10, and `spectra`,
   in json, text and csv, on the same graphs; see algebra_cli_goldens.py
   for the run list and the script that rewrites the digests

@@ -16,9 +16,13 @@ Claims covered here:
   polynomial at every vertex, every result is canonical, and mixed flags
   raise exactly where the composition raises
 - verify_basis passes on every fixture graph, detects a dropped generator
-  and pairs each test vector only with its own edge's generators; a
+  and sends only same-edge pairs through the per-edge kernel; a
   max_exponent that is not a non-negative int raises instead of passing
   with no reconstruction checks
+- verify_basis returns the same report, failure strings included, as the
+  pair-by-pair loop of inner, act_right and vector + written from the
+  compositions above, on intact and broken generator families (a repeated
+  sheet, a doubled coefficient); an unflagged sheet raises on both sides
 - verify_basis, normalize and render_sum construct no Fraction: their
   coefficient arithmetic and sign tests run on the integer-backed scalar
 - admissible symbol words count via symbol-adjacency powers
@@ -37,6 +41,7 @@ import pytest
 from conftest import FIXTURES, fixture_graphs, heavy_loop_graph, two_cycle_graph
 from tge import CircleGraph
 from tge.bimodule_engine import (
+    BasisReport,
     BimoduleVector,
     LaurentMatrix,
     act_left,
@@ -285,22 +290,99 @@ def test_verify_basis_on_all_fixtures():
 
 
 def test_verify_basis_pairs_only_same_edge_sheets(two_loops, monkeypatch):
-    # S^2 orthogonality pairs, then each of the 2M+1 test vectors z^m on
-    # an edge pairs only with that edge's own sheets: (2M+1) * S in all
+    # every pair that reaches the per-edge kernel shares an edge: the
+    # sum of p(e)^2 same-edge Gram entries, then each of the 2M+1 test
+    # vectors z^m on an edge with that edge's own sheets, (2M+1) * S
     import tge.bimodule_engine as be
 
     calls = []
-    real_inner = be.inner
+    real_pair = be._edge_pair
 
-    def counting_inner(x, y):
-        calls.append(1)
-        return real_inner(x, y)
+    def counting_pair(coeffs, name, *rest):
+        calls.append(name)
+        return real_pair(coeffs, name, *rest)
 
-    monkeypatch.setattr(be, "inner", counting_inner)
+    monkeypatch.setattr(be, "_edge_pair", counting_pair)
     assert verify_basis(two_loops).passed
-    s = len(two_loops.symbols())
-    m = 2 * max(e.p for e in two_loops.edges)
-    assert len(calls) == s * s + (2 * m + 1) * s == 36
+    ps = [e.p for e in two_loops.edges]
+    m = 2 * max(ps)
+    assert len(calls) == sum(p * p for p in ps) + (2 * m + 1) * sum(ps) == 5 + 27
+
+
+def _verify_basis_by_composition(g, max_exponent=None):
+    """verify_basis as one inner per Gram entry and, per (sheet, eta) pair,
+    act_right of the coefficient added to a running vector, each written
+    as its composition of LaurentPoly operations (see above)."""
+    import tge.bimodule_engine as be
+
+    g.require_valid()
+    if max_exponent is None:
+        max_exponent = 2 * max(e.p for e in g.edges)
+    syms = g.symbols()
+    basis = {s: be.basis_vector(g, s) for s in syms}
+    failures = []
+    for si in syms:
+        for sj in syms:
+            for v, poly in _inner_by_composition(basis[si], basis[sj]).items():
+                on = si == sj and v == g.edge_named(si.edge).source
+                want = LaurentPoly.one(v) if on else LaurentPoly.zero(v)
+                if poly != want:
+                    failures.append(
+                        f"inner({si}, {sj}) at vertex {v!r}: got {poly}, want {want}"
+                    )
+    for e in g.edges:
+        for m in range(-max_exponent, max_exponent + 1):
+            eta = monomial_vector(g, e.name, m, normalized=True)
+            total = BimoduleVector.zero(g)
+            for k in range(1, e.p + 1):
+                xi = basis[Symbol(e.name, k)]
+                coeff = _inner_by_composition(xi, eta)[e.source]
+                total = _add_by_composition(total, _act_by_composition(xi, coeff, False))
+            if total != eta:
+                failures.append(f"reconstruction failed for z^{m} on edge {e.name!r}")
+    ortho = len(syms) ** 2
+    recon = len(g.edges) * (2 * max_exponent + 1)
+    return BasisReport(not failures, ortho, recon, tuple(failures))
+
+
+def _repeated_sheet(real):
+    return lambda g, s: real(g, Symbol(s.edge, 1) if s.k == 2 else s)
+
+
+def _doubled_sheet(real):
+    return lambda g, s: real(g, s).scale(2) if s.k == 1 else real(g, s)
+
+
+def _unflagged_sheet(real):
+    def family(g, s):
+        if s == g.symbols()[0]:
+            return monomial_vector(g, s.edge, s.k - 1, normalized=False)
+        return real(g, s)
+    return family
+
+
+ORACLE_GRAPHS = {**fixture_graphs(), "two_cycle": two_cycle_graph(),
+                 "heavy_loop_16": heavy_loop_graph(16), "multi_edge": MULTI_EDGE}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+@pytest.mark.parametrize("broken", [None, _repeated_sheet, _doubled_sheet, _unflagged_sheet],
+                         ids=["intact", "repeated", "doubled", "unflagged"])
+def test_verify_basis_equals_the_composition(name, broken, monkeypatch):
+    import tge.bimodule_engine as be
+
+    g = ORACLE_GRAPHS[name]
+    if broken is not None:
+        monkeypatch.setattr(be, "basis_vector", broken(be.basis_vector))
+    for bound in (None, 0, 3):
+        want = _outcome(_verify_basis_by_composition, g, bound)
+        assert _outcome(verify_basis, g, bound) == want
+        if broken is _unflagged_sheet:
+            assert want is NormalizationError
+        elif broken is None:
+            assert want.passed
+        elif broken is _doubled_sheet or any(e.p > 1 for e in g.edges):
+            assert want.failures
 
 
 def test_verify_basis_rejects_a_bound_that_checks_nothing(two_loops):
